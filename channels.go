@@ -1,6 +1,7 @@
 package stripe
 
 import (
+	"io"
 	"net"
 	"time"
 
@@ -31,8 +32,8 @@ type LocalChannelConfig struct {
 }
 
 // LocalChannel is a goroutine-driven in-process FIFO channel. The same
-// value is used on both ends: Send on the transmit side, Out (or Recv)
-// on the receive side.
+// value is used on both ends: Send on the transmit side, ReadPacket (so
+// Attach), Out or Recv on the receive side.
 type LocalChannel struct {
 	live *channel.Live
 }
@@ -61,6 +62,32 @@ func (l *LocalChannel) Recv() (*Packet, bool) { return l.live.Recv() }
 // Out exposes the delivery stream for blocking consumption; it closes
 // when the channel is closed.
 func (l *LocalChannel) Out() <-chan *Packet { return l.live.Out() }
+
+// ReadPacket blocks for up to timeout (zero means forever) for the next
+// delivered packet. A timeout returns (nil, nil); a closed channel
+// returns io.EOF.
+func (l *LocalChannel) ReadPacket(timeout time.Duration) (*Packet, error) {
+	var p *Packet
+	ok := true
+	select {
+	case p, ok = <-l.live.Out(): // ready: no timer, so a busy pump allocates nothing
+	default:
+		var expired <-chan time.Time
+		if timeout > 0 {
+			t := time.NewTimer(timeout)
+			defer t.Stop()
+			expired = t.C
+		}
+		select {
+		case p, ok = <-l.live.Out():
+		case <-expired:
+		}
+	}
+	if !ok {
+		return nil, io.EOF
+	}
+	return p, nil
+}
 
 // Close stops the channel.
 func (l *LocalChannel) Close() { l.live.Close() }

@@ -32,7 +32,6 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"stripe"
@@ -130,24 +129,8 @@ func main() {
 	}
 
 	stop := make(chan struct{})
-	var pumps sync.WaitGroup
 	for i, rc := range recvEnds {
-		pumps.Add(1)
-		go func(i int, rc *stripe.UDPChannel) {
-			defer pumps.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				p, err := rc.ReadPacket(50 * time.Millisecond)
-				if err != nil || p == nil {
-					continue
-				}
-				rx.Arrive(i, p)
-			}
-		}(i, rc)
+		rx.Attach(i, rc)
 	}
 
 	fmt.Printf("striping %d packets over %d UDP channels (loss %.0f%%)\n", *n, nch, *loss*100)
@@ -214,8 +197,7 @@ collect:
 		}
 	}
 	close(stop)
-	pumps.Wait()
-	rx.Close() // unblocks a Recv parked in the reader goroutine
+	rx.Close() // stops the read pumps and unblocks a Recv parked in the reader goroutine
 
 	st := rx.Stats()
 	fmt.Printf("\ndelivered %d/%d packets, %d out of order\n", delivered, *n, late)

@@ -26,7 +26,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"stripe"
@@ -311,28 +310,10 @@ func startDemo() (stop func(), addr string) {
 	}
 
 	done := make(chan struct{})
-	var pumps sync.WaitGroup
-	pump := func(recv []*stripe.LocalChannel, dst *stripe.Session) {
-		for i, rc := range recv {
-			pumps.Add(1)
-			go func(i int, rc *stripe.LocalChannel) {
-				defer pumps.Done()
-				for {
-					select {
-					case <-done:
-						return
-					case p, ok := <-rc.Out():
-						if !ok {
-							return
-						}
-						dst.Arrive(i, p)
-					}
-				}
-			}(i, rc)
-		}
+	for i := 0; i < nch; i++ {
+		bob.Attach(i, abRecv[i])
+		alice.Attach(i, baRecv[i])
 	}
-	pump(abRecv, bob)
-	pump(baRecv, alice)
 
 	rng := rand.New(rand.NewSource(1))
 	go func() { // Figure 15 bimodal workload, alice -> bob
@@ -364,7 +345,6 @@ func startDemo() (stop func(), addr string) {
 		close(done)
 		alice.Close()
 		bob.Close()
-		pumps.Wait()
 		srv.Close()
 	}, srv.Addr()
 }

@@ -16,12 +16,12 @@
 //	tx, _ := stripe.NewSender(senders, cfg)
 //	rx, _ := stripe.NewReceiver(4, cfg)
 //
-//	go func() { // receive pumps, one per channel
-//	    for pkt := range channel0 { rx.Arrive(0, pkt) }
-//	}()
-//	...
+//	for i, ch := range receiveEnds { // anything with ReadPacket
+//	    rx.Attach(i, ch) // one read pump per channel, stopped by Close
+//	}
 //	tx.Send(stripe.Data(payload)) // stripes across the channels
 //	pkt := rx.Recv()              // delivered in FIFO order
+//	rx.Close()                    // stops and joins the pumps
 //
 // The sender and receiver must be configured with identical Quanta (and
 // marker policy); the receiver's FIFO guarantee is exactly the paper's:
@@ -30,9 +30,9 @@
 //
 // # Batching and the packet pool
 //
-// SendBatch/RecvBatch move packets in bulk: the session lock is taken
-// once per batch, the scheduler is consulted once per service run, and
-// TCP channels flush once per batch. The single-packet Send and Recv
+// SendBatch/RecvBatch move packets in bulk: the transmit (or receive)
+// lock is taken once per batch, the scheduler is consulted once per
+// service run, and TCP channels flush once per batch. The single-packet Send and Recv
 // are batches of one, so the two styles mix freely. The pool makes the
 // steady state allocation-free; its lifetime rules:
 //
@@ -64,6 +64,12 @@
 // cap arrivals are dropped — no worse than channel loss, which the
 // protocol already survives.
 //
+// A Session is a Sender and a Receiver joined by a small coupler. The
+// two directions lock independently and the receive path never waits
+// on the transmit lock, so a sender blocked on a full transport or on
+// credit never stops its own end from receiving; Session.Attach gives
+// the read pumps to the Session, and Close stops and joins them.
+//
 // # Counters
 //
 // Sender.Stats and Session.SendStats return SenderStats, the
@@ -78,8 +84,10 @@
 // state), Skips (channel visits skipped under the r_c > G rule),
 // Resets and OldEpochDrops (epoch resets and packets discarded while
 // waiting one out), SelfHeals (state adopted wholesale from uniformly
-// newer markers), and FastForwards (rounds advanced while every
-// channel was skip-listed).
+// newer markers), FastForwards (rounds advanced while every
+// channel was skip-listed), and BadFrames (frames an Attach pump
+// dropped because the transport could not decode them; the pump reads
+// on, and only a transport error ends it).
 //
 // # Observability
 //

@@ -2,7 +2,6 @@ package stripe_test
 
 import (
 	"fmt"
-	"sync"
 
 	"stripe"
 )
@@ -22,15 +21,8 @@ func Example() {
 	tx, _ := stripe.NewSender(senders, cfg)
 	rx, _ := stripe.NewReceiver(nch, cfg)
 
-	var pumps sync.WaitGroup
 	for i, ch := range chans {
-		pumps.Add(1)
-		go func(i int, ch *stripe.LocalChannel) {
-			defer pumps.Done()
-			for p := range ch.Out() {
-				rx.Arrive(i, p)
-			}
-		}(i, ch)
+		rx.Attach(i, ch) // one read pump per channel, stopped by Close
 	}
 
 	for i := 0; i < 5; i++ {
@@ -42,10 +34,10 @@ func Example() {
 		p := rx.Recv()
 		fmt.Printf("%s\n", p.Payload[:5])
 	}
+	rx.Close()
 	for _, ch := range chans {
 		ch.Close()
 	}
-	pumps.Wait()
 	// Output:
 	// msg-0
 	// msg-1

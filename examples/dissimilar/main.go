@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"stripe"
@@ -45,15 +44,8 @@ func run(label string, cfg stripe.Config) float64 {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var pumps sync.WaitGroup
 	for i, ch := range chans {
-		pumps.Add(1)
-		go func(i int, ch *stripe.LocalChannel) {
-			defer pumps.Done()
-			for p := range ch.Out() {
-				rx.Arrive(i, p)
-			}
-		}(i, ch)
+		rx.Attach(i, ch)
 	}
 
 	stop := time.After(seconds * time.Second)
@@ -89,11 +81,10 @@ sendLoop:
 		}
 		i++
 	}
+	rx.Close()
 	for _, ch := range chans {
 		ch.Close()
 	}
-	pumps.Wait()
-	rx.Close()
 	<-done
 
 	mbps := float64(bytes) * 8 / seconds / 1e6

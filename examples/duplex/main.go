@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"stripe"
@@ -52,30 +51,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	stop := make(chan struct{})
-	var pumps sync.WaitGroup
-	pump := func(recv []*stripe.UDPChannel, dst *stripe.Session) {
-		for i, rc := range recv {
-			pumps.Add(1)
-			go func(i int, rc *stripe.UDPChannel) {
-				defer pumps.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					p, err := rc.ReadPacket(50 * time.Millisecond)
-					if err != nil || p == nil {
-						continue
-					}
-					dst.Arrive(i, p)
-				}
-			}(i, rc)
-		}
+	for i := 0; i < nch; i++ {
+		bob.Attach(i, abRecv[i])   // alice -> bob
+		alice.Attach(i, baRecv[i]) // bob -> alice
 	}
-	pump(abRecv, bob)   // alice -> bob
-	pump(baRecv, alice) // bob -> alice
 
 	const n = 400
 	start := time.Now()
@@ -115,8 +94,6 @@ func main() {
 		}
 	}
 	elapsed := time.Since(start)
-	close(stop)
-	pumps.Wait()
 	alice.Close()
 	bob.Close()
 

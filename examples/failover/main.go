@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"log"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -41,22 +40,8 @@ func main() {
 
 	// One TCP connection per channel per direction. The reverse path
 	// carries the markers that piggyback credits and membership
-	// announcements back to A.
-	var stop atomic.Bool
-	var pumps sync.WaitGroup
-	pump := func(rc *stripe.TCPChannel, deliver func(*stripe.Packet)) {
-		defer pumps.Done()
-		for !stop.Load() {
-			p, err := rc.ReadPacket(50 * time.Millisecond)
-			if err != nil {
-				return // the killed connection, or teardown
-			}
-			if p != nil {
-				deliver(p)
-			}
-		}
-	}
-
+	// announcements back to A. Each session owns the read pumps of its
+	// receive direction; a pump ends when its connection dies.
 	txAB := make([]stripe.ChannelSender, nch)
 	rxAB := make([]*stripe.TCPChannel, nch)
 	txBA := make([]stripe.ChannelSender, nch)
@@ -79,18 +64,14 @@ func main() {
 			log.Fatal(err)
 		}
 		txBA[i] = s
-		pumps.Add(1)
-		i := i
-		go pump(r, func(p *stripe.Packet) { a.Arrive(i, p) })
+		a.Attach(i, r)
 	}
 	b, err := stripe.NewSession(txBA, cfg(colB))
 	if err != nil {
 		log.Fatal(err)
 	}
 	for i := 0; i < nch; i++ {
-		pumps.Add(1)
-		i := i
-		go pump(rxAB[i], func(p *stripe.Packet) { b.Arrive(i, p) })
+		b.Attach(i, rxAB[i])
 	}
 
 	var delivered, fifoBreaks atomic.Int64
@@ -147,8 +128,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			pumps.Add(1)
-			go pump(r, func(p *stripe.Packet) { b.Arrive(killCh, p) })
+			b.Attach(killCh, r)
 			if err := a.AddChannel(killCh, s); err != nil {
 				log.Fatal(err)
 			}
@@ -172,10 +152,8 @@ func main() {
 
 	snapA, snapB := a.Snapshot(), b.Snapshot()
 	bs := b.Stats()
-	stop.Store(true)
 	a.Close()
 	b.Close()
-	pumps.Wait()
 	<-consumerDone
 
 	var evictions, reinstates int64

@@ -9,7 +9,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"stripe"
@@ -59,15 +58,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var pumps sync.WaitGroup
 	for i, ch := range chans {
-		pumps.Add(1)
-		go func(i int, ch *stripe.LocalChannel) {
-			defer pumps.Done()
-			for p := range ch.Out() {
-				rx.Arrive(i, p)
-			}
-		}(i, ch)
+		rx.Attach(i, ch)
 	}
 
 	const n = 18 // the walkthrough's packets 1..18
@@ -98,10 +90,10 @@ func main() {
 			last = id
 		}
 	}
+	rx.Close()
 	for _, ch := range chans {
 		ch.Close()
 	}
-	pumps.Wait()
 
 	st := rx.Stats()
 	fmt.Printf("\nmarkers consumed: %d, resynchronizations: %d, channel skips: %d\n",

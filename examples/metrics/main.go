@@ -45,7 +45,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"stripe"
@@ -148,28 +147,10 @@ func main() {
 	}
 
 	stop := make(chan struct{})
-	var pumps sync.WaitGroup
-	pump := func(recv []*stripe.LocalChannel, dst *stripe.Session) {
-		for i, rc := range recv {
-			pumps.Add(1)
-			go func(i int, rc *stripe.LocalChannel) {
-				defer pumps.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					case p, ok := <-rc.Out():
-						if !ok {
-							return
-						}
-						dst.Arrive(i, p)
-					}
-				}
-			}(i, rc)
-		}
+	for i := 0; i < nch; i++ {
+		bob.Attach(i, abRecv[i])
+		alice.Attach(i, baRecv[i])
 	}
-	pump(abRecv, bob)
-	pump(baRecv, alice)
 
 	// Figure 15 workload: equiprobable 200 B / 1000 B packets.
 	rng := rand.New(rand.NewSource(1))
@@ -208,7 +189,6 @@ func main() {
 	close(stop)
 	alice.Close()
 	bob.Close()
-	pumps.Wait()
 
 	// Self-scrape: fetch the endpoint like any monitoring agent would
 	// and check the fairness invariant from the exposition alone.

@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"stripe"
@@ -43,16 +42,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Receive pumps: one goroutine per channel feeding the resequencer.
-	var pumps sync.WaitGroup
+	// Receive pumps: one per channel feeding the resequencer, owned by
+	// the Receiver and stopped by its Close.
 	for i, ch := range chans {
-		pumps.Add(1)
-		go func(i int, ch *stripe.LocalChannel) {
-			defer pumps.Done()
-			for p := range ch.Out() {
-				rx.Arrive(i, p)
-			}
-		}(i, ch)
+		rx.Attach(i, ch)
 	}
 
 	const n = 48
@@ -71,10 +64,10 @@ func main() {
 		fmt.Printf("delivered in order: %s (%d bytes)\n", p.Payload[:10], p.Len())
 	}
 
+	rx.Close()
 	for _, ch := range chans {
 		ch.Close()
 	}
-	pumps.Wait()
 
 	st := tx.Stats()
 	fmt.Printf("\nsent %d packets (%d bytes) + %d markers over %d channels; all FIFO\n",

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"sync"
 	"time"
 
 	"stripe"
@@ -47,20 +46,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var pumps sync.WaitGroup
 	for i, rc := range recvEnds {
-		pumps.Add(1)
-		go func(i int, rc *stripe.TCPChannel) {
-			defer pumps.Done()
-			for {
-				p, err := rc.ReadPacket(2 * time.Second)
-				if err != nil || p == nil {
-					return
-				}
-				rx.Arrive(i, p)
-			}
-		}(i, rc)
+		rx.Attach(i, rc)
 	}
+	defer rx.Close()
 
 	rng := rand.New(rand.NewSource(1))
 	sendSum := sha256.New()
@@ -88,8 +77,6 @@ func main() {
 		got += int64(p.Len())
 	}
 	elapsed := time.Since(start)
-	pumpsDone := make(chan struct{})
-	go func() { pumps.Wait(); close(pumpsDone) }()
 
 	if !bytes.Equal(sendSum.Sum(nil), recvSum.Sum(nil)) {
 		log.Fatal("checksum mismatch: stream corrupted or reordered")
@@ -98,8 +85,4 @@ func main() {
 		totalMiB, nch, elapsed.Round(time.Millisecond),
 		float64(got)*8/elapsed.Seconds()/1e6)
 	fmt.Println("SHA-256 of sent and received streams match: exact FIFO reassembly")
-	select {
-	case <-pumpsDone:
-	case <-time.After(3 * time.Second):
-	}
 }

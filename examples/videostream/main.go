@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"sync"
 	"time"
 
 	"stripe"
@@ -76,25 +75,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stop := make(chan struct{})
-	var pumps sync.WaitGroup
 	for i, rc := range recvEnds {
-		pumps.Add(1)
-		go func(i int, rc *stripe.UDPChannel) {
-			defer pumps.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				p, err := rc.ReadPacket(50 * time.Millisecond)
-				if err != nil || p == nil {
-					continue
-				}
-				rx.Arrive(i, p)
-			}
-		}(i, rc)
+		rx.Attach(i, rc)
 	}
 
 	// Stream the packetized trace; the frame index rides in the first
@@ -165,8 +147,7 @@ collect:
 			break collect
 		}
 	}
-	close(stop)
-	pumps.Wait()
+	rx.Close()
 	for f := range usable {
 		if seen[f] < ppf[f] {
 			usable[f] = false

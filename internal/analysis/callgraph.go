@@ -280,6 +280,9 @@ func (li *LockInfo) scanTypes(pkg *Package) {
 		obj := scope.Lookup(name)
 		switch obj := obj.(type) {
 		case *types.TypeName:
+			if obj.IsAlias() {
+				continue // the aliased type names its own fields
+			}
 			st, ok := obj.Type().Underlying().(*types.Struct)
 			if !ok {
 				continue

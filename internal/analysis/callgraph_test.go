@@ -125,9 +125,10 @@ func TestCallGraphReachable(t *testing.T) {
 }
 
 // TestLockSummaryCrossPackage pins the fixed-point summary merge:
-// Snapshot locks Session.mu directly and reaches Checker.mu only
-// through the SyncObs -> RunChecks -> (*Checker).run chain, two
-// packages away. Both must appear in its transitive summary.
+// Snapshot locks the transmit lock Sender.mu (through Sender.Snapshot)
+// and reaches Checker.mu only through the SyncObs -> RunChecks ->
+// (*Checker).run chain, two packages away. Both must appear in its
+// transitive summary.
 func TestLockSummaryCrossPackage(t *testing.T) {
 	prog, mod := sharedProgram(t)
 	g := NewCallGraph(prog, mod)
@@ -142,8 +143,8 @@ func TestLockSummaryCrossPackage(t *testing.T) {
 	for v, acq := range sum.Acquires {
 		byName[li.LockName(v)] = acq
 	}
-	if _, ok := byName["Session.mu"]; !ok {
-		t.Errorf("summary of Snapshot misses Session.mu (direct acquisition); acquires: %v", names(byName))
+	if _, ok := byName["Sender.mu"]; !ok {
+		t.Errorf("summary of Snapshot misses Sender.mu (the transmit lock); acquires: %v", names(byName))
 	}
 	acq, ok := byName["Checker.mu"]
 	if !ok {
@@ -163,17 +164,18 @@ func names(m map[string]LockAcq) []string {
 }
 
 // TestCondOwner pins the sync.NewCond(&x) association the wait-holding
-// rule depends on: Session.txCond guards Session.mu.
+// rule depends on: Receiver.cond guards Receiver.mu. Session embeds
+// Receiver through an unexported alias, which must not rename the lock.
 func TestCondOwner(t *testing.T) {
 	prog, mod := sharedProgram(t)
 	li := ComputeLockInfo(prog, NewCallGraph(prog, mod))
 
-	cond := lookupField(t, mod, "stripe", "Session.txCond")
-	mu := lookupField(t, mod, "stripe", "Session.mu")
+	cond := lookupField(t, mod, "stripe", "Receiver.cond")
+	mu := lookupField(t, mod, "stripe", "Receiver.mu")
 	if got := li.CondLock[cond]; got != mu {
-		t.Errorf("CondLock[Session.txCond] = %v, want Session.mu", got)
+		t.Errorf("CondLock[Receiver.cond] = %v, want Receiver.mu", got)
 	}
-	if name := li.LockName(mu); name != "Session.mu" {
-		t.Errorf("LockName(Session.mu) = %q", name)
+	if name := li.LockName(mu); name != "Receiver.mu" {
+		t.Errorf("LockName(Receiver.mu) = %q", name)
 	}
 }

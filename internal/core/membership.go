@@ -501,9 +501,9 @@ func (r *Resequencer) beginLeaving(c int) {
 
 // sweepLeaving retires draining slots whose streams are complete and
 // whose buffers have emptied. Undelimited slots wait for their
-// delimiter — their tail may still be in flight — and cannot wedge the
-// simulation: the delivery scans retire a draining slot the moment they
-// actually block on it.
+// delimiter — their tail may still be in flight. A link that dies
+// mid-drain never sends one; whoever observes it dead completes the
+// drain with RemoveChannel (a Session does after a bounded silence).
 func (r *Resequencer) sweepLeaving() {
 	for c := 0; c < r.n; c++ {
 		if r.leaving[c] && r.delimited[c] && r.bufs[c].len() == 0 {

@@ -117,12 +117,52 @@ func TestGracefulRemoveLosslessDrain(t *testing.T) {
 	}
 }
 
+// TestDrainWaitsForDelimiter is the regression test for the graceful
+// drain race: the leave announcement reaches the receiver on the
+// survivors before the departing channel's in-flight tail. The drain
+// must wait for the delimiter behind that tail rather than retire the
+// slot the moment the scan finds its buffer empty, which dropped the
+// tail as MemberDrops.
+func TestDrainWaitsForDelimiter(t *testing.T) {
+	g, st, rs := membershipPair(t, 3)
+
+	sendN(t, st, 12)
+	if err := st.RemoveChannel(1); err != nil {
+		t.Fatal(err)
+	}
+	sendN(t, st, 12)
+
+	// The survivors, announcement included, arrive first.
+	var got []*packet.Packet
+	for _, c := range []int{0, 2} {
+		for p, ok := g.Queues[c].Recv(); ok; p, ok = g.Queues[c].Recv() {
+			rs.Arrive(c, p)
+		}
+	}
+	for p, ok := rs.Next(); ok; p, ok = rs.Next() {
+		got = append(got, p)
+	}
+	if rs.MemberState(1) != MemberDraining {
+		t.Fatalf("MemberState(1) = %v before the tail arrived, want draining", rs.MemberState(1))
+	}
+	got = append(got, pumpAll(g, rs)...)
+
+	if ids := assertAscending(t, got); len(ids) != 24 {
+		t.Fatalf("delivered %d packets %v, want all 24", len(ids), ids)
+	}
+	s := rs.Stats()
+	if s.MemberDrains != 1 || s.MemberLost != 0 || s.MemberDrops != 0 {
+		t.Fatalf("drains=%d lost=%d drops=%d, want 1/0/0", s.MemberDrains, s.MemberLost, s.MemberDrops)
+	}
+}
+
 // TestDeadLinkRemovalNeverReorders cuts a link cold (silent in-flight
 // destruction, including the would-be delimiter), then removes the
 // channel on the transmit side. The survivors' announcements begin the
-// receiver's drain, and the delivery scan retires the slot when it
-// actually blocks on it: every surviving packet is delivered in order,
-// the destroyed ones are simply absent, and nothing is ever reordered.
+// receiver's drain, which waits for a delimiter that never comes until
+// the receiver declares the link dead (a Session does after a bounded
+// silence): every surviving packet is delivered in order, the
+// destroyed ones are simply absent, and nothing is ever reordered.
 func TestDeadLinkRemovalNeverReorders(t *testing.T) {
 	g, kill, st, rs := killPair(t, 3)
 
@@ -138,7 +178,11 @@ func TestDeadLinkRemovalNeverReorders(t *testing.T) {
 	}
 	sendN(t, st, 6) // IDs 18..23, striped over the survivors
 
-	ids := assertAscending(t, pumpAll(g, rs))
+	got := pumpAll(g, rs)
+	if err := rs.RemoveChannel(1); err != nil {
+		t.Fatal(err)
+	}
+	ids := assertAscending(t, append(got, pumpAll(g, rs)...))
 	if want := 24 - 9 - kill.lost; len(ids) != want {
 		t.Fatalf("delivered %d packets %v, want %d (all survivors)", len(ids), ids, want)
 	}

@@ -114,6 +114,7 @@ type ResequencerStats struct {
 	Telemetry      int64 // telemetry blocks consumed
 	BadTelemetry   int64 // telemetry blocks dropped as corrupt
 	UnknownKinds   int64 // arrivals dropped for unrecognized codepoints
+	BadFrames      int64 // frames a read pump dropped as undecodable (set by stripe.Receiver)
 }
 
 // Resequencer is the receiver engine. Drive it by pushing packets from
@@ -217,8 +218,8 @@ type Resequencer struct {
 	// and per-channel FIFO puts that block after every packet the sender
 	// transmitted before retiring the slot. A draining delimited channel
 	// retires the moment its buffer empties without losing anything that
-	// was in flight; an undelimited one retires only when the delivery
-	// discipline actually blocks on it (or is locally declared dead).
+	// was in flight; an undelimited one waits for its delimiter, or for
+	// RemoveChannel to declare the link dead.
 	delimited    []bool
 	leavingN     int
 	memberSeq    uint64 // last applied announcement sequence number
@@ -854,17 +855,11 @@ func (r *Resequencer) nextLogical() (*packet.Packet, bool) {
 		}
 		p, ok := r.bufs[c].peek()
 		if !ok {
-			if r.leaving[c] {
-				// The simulation is blocked on a draining channel: what it
-				// still expects from c is lost, or would arrive only after
-				// this point in the delivery order. Retire rather than
-				// wedge — the delimiter path retires losslessly whenever
-				// it wins this race.
-				r.retire(c)
-				continue
-			}
 			// Logical reception blocks here until channel c produces the
-			// packet the simulation says comes next.
+			// packet the simulation says comes next. A draining c blocks
+			// too: its in-flight tail may still arrive, and only the
+			// leave delimiter (or RemoveChannel, for a link observed
+			// dead) proves it will not — sweepLeaving then retires it.
 			return nil, false
 		}
 		switch p.Kind {
@@ -1048,12 +1043,8 @@ scan:
 			}
 			p, ok := r.bufs[c].peek()
 			if !ok {
-				if r.leaving[c] {
-					// Same rule as the logical scan: a draining channel the
-					// sequence scan is out of heads for must not wedge it.
-					r.retire(c)
-					continue scan
-				}
+				// Same rule as the logical scan: an empty channel, draining
+				// or not, may still deliver the expected number.
 				allHeads = false
 				continue
 			}

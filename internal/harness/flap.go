@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,11 +21,12 @@ func init() {
 
 // killableLink wraps a channel transport with a cut switch. While cut,
 // sends fail at the transmit side (the health monitor's error-streak
-// signal) and the receive pump discards whatever was in flight — the
-// full semantics of a dead link, not just a silent one.
+// signal) and reads discard whatever was in flight — the full
+// semantics of a dead link, not just a silent one.
 type killableLink struct {
-	inner stripe.ChannelSender
+	inner *stripe.LocalChannel
 	dead  atomic.Bool
+	lost  atomic.Int64 // data packets destroyed in flight
 }
 
 func (k *killableLink) Send(p *stripe.Packet) error {
@@ -34,6 +34,17 @@ func (k *killableLink) Send(p *stripe.Packet) error {
 		return errLinkDown
 	}
 	return k.inner.Send(p)
+}
+
+func (k *killableLink) ReadPacket(timeout time.Duration) (*stripe.Packet, error) {
+	p, err := k.inner.ReadPacket(timeout)
+	if p != nil && k.dead.Load() {
+		if p.Kind == stripe.KindData {
+			k.lost.Add(1)
+		}
+		return nil, nil
+	}
+	return p, err
 }
 
 var errLinkDown = fmt.Errorf("harness: link down")
@@ -116,28 +127,13 @@ func RunFlap(seed int64, total int) FlapReport {
 
 	// Pumps. The dead link destroys in-flight traffic: while cut, the
 	// A→B pump on the flapped channel discards instead of delivering.
-	var lostInFlight atomic.Int64
-	var wg sync.WaitGroup
 	for i := 0; i < nch; i++ {
-		wg.Add(2)
-		go func(i int) {
-			defer wg.Done()
-			for p := range a2b[i].Out() {
-				if i == flapCh && link.dead.Load() {
-					if p.Kind == stripe.KindData {
-						lostInFlight.Add(1)
-					}
-					continue
-				}
-				b.Arrive(i, p)
-			}
-		}(i)
-		go func(i int) {
-			defer wg.Done()
-			for p := range b2a[i].Out() {
-				a.Arrive(i, p)
-			}
-		}(i)
+		var src stripe.PacketReader = a2b[i]
+		if i == flapCh {
+			src = link
+		}
+		b.Attach(i, src)
+		a.Attach(i, b2a[i])
 	}
 
 	// Consumer: payload indexes must be strictly increasing — gaps are
@@ -217,7 +213,7 @@ func RunFlap(seed int64, total int) FlapReport {
 	for time.Now().Before(deadline) {
 		bs := b.Stats()
 		rep.Delivered = int(delivered.Load())
-		rep.LostInFlight = int(lostInFlight.Load())
+		rep.LostInFlight = int(link.lost.Load())
 		rep.DeclaredLost = bs.MemberLost + bs.MemberDrops
 		if rep.Accounted() >= total {
 			rep.Completed = true
@@ -233,7 +229,6 @@ func RunFlap(seed int64, total int) FlapReport {
 		a2b[i].Close()
 		b2a[i].Close()
 	}
-	wg.Wait()
 	<-done
 
 	rep.FIFOBreaks = int(fifoBreaks.Load())

@@ -98,17 +98,10 @@ func TestSessionLifecycleTracing(t *testing.T) {
 			ch.Close()
 		}
 	}()
-	pump := func(chans []*LocalChannel, dst *Session) {
-		for i, ch := range chans {
-			go func(i int, ch *LocalChannel) {
-				for p := range ch.Out() {
-					dst.Arrive(i, p)
-				}
-			}(i, ch)
-		}
+	for i := range abChans {
+		b.Attach(i, abChans[i])
+		a.Attach(i, baChans[i])
 	}
-	pump(abChans, b)
-	pump(baChans, a)
 
 	const n = 200
 	done := make(chan error, 1)

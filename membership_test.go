@@ -2,6 +2,7 @@ package stripe
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -293,5 +294,128 @@ func TestSessionTCPKillMidTransfer(t *testing.T) {
 	// survivors' share must all arrive.
 	if got := delivered.Load(); got < total*2/3 {
 		t.Errorf("delivered only %d/%d packets", got, total)
+	}
+}
+
+// mutableSender forwards to a channel until it is cut, after which it
+// accepts every send and delivers nothing: a link that dies silently.
+type mutableSender struct {
+	ch  ChannelSender
+	cut atomic.Bool
+}
+
+func (m *mutableSender) Send(p *Packet) error {
+	if m.cut.Load() {
+		return nil
+	}
+	return m.ch.Send(p)
+}
+
+// TestSessionDeadDrainRetires removes a channel whose link has already
+// died silently, so the leave announcement reaches the receiver on the
+// survivors but the departing link's in-flight packets and delimiter
+// never do. The receiving Session must retire the draining slot within
+// the drain bound and resume delivery on the survivors, with the
+// marker timer on and off.
+func TestSessionDeadDrainRetires(t *testing.T) {
+	for _, interval := range []time.Duration{-1, 0} {
+		t.Run(fmt.Sprintf("markerInterval=%v", interval), func(t *testing.T) {
+			testDeadDrainRetires(t, interval)
+		})
+	}
+}
+
+func testDeadDrainRetires(t *testing.T, interval time.Duration) {
+	const nch, deadCh, phase = 3, 2, 30
+	a2b, b2a := make([]*LocalChannel, nch), make([]*LocalChannel, nch)
+	txA, txB := make([]ChannelSender, nch), make([]ChannelSender, nch)
+	for i := 0; i < nch; i++ {
+		a2b[i] = NewLocalChannel(LocalChannelConfig{Delay: 100 * time.Microsecond})
+		b2a[i] = NewLocalChannel(LocalChannelConfig{Delay: 100 * time.Microsecond})
+		txA[i], txB[i] = a2b[i], b2a[i]
+		defer a2b[i].Close()
+		defer b2a[i].Close()
+	}
+	dead := &mutableSender{ch: a2b[deadCh]}
+	txA[deadCh] = dead
+	cfg := SessionConfig{
+		Config:         Config{Quanta: UniformQuanta(nch, 1500), Mode: ModeLogical},
+		MarkerInterval: interval,
+		Health:         HealthConfig{Disable: true},
+	}
+	a, err := NewSession(txA, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewSession(txB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for i := 0; i < nch; i++ {
+		b.Attach(i, a2b[i])
+		a.Attach(i, b2a[i])
+	}
+
+	got := make(chan uint64, 3*phase)
+	go func() {
+		for p := b.Recv(); p != nil; p = b.Recv() {
+			got <- binary.BigEndian.Uint64(p.Payload)
+		}
+		close(got)
+	}()
+	send := func(from, to int) {
+		for i := from; i < to; i++ {
+			payload := make([]byte, 200)
+			binary.BigEndian.PutUint64(payload, uint64(i))
+			if err := a.SendBytes(payload); err != nil {
+				t.Fatalf("send %d: %v", i, err)
+			}
+		}
+	}
+	recvUntil := func(last uint64, within time.Duration) []uint64 {
+		var ids []uint64
+		timeout := time.After(within)
+		for {
+			select {
+			case id := <-got:
+				ids = append(ids, id)
+				if id == last {
+					return ids
+				}
+			case <-timeout:
+				t.Fatalf("packet %d not delivered within %v (got %v)", last, within, ids)
+			}
+		}
+	}
+
+	send(0, phase)
+	recvUntil(phase-1, 2*time.Second)
+	dead.cut.Store(true)
+	send(phase, 2*phase) // the dead channel's share is lost
+	if err := a.RemoveChannel(deadCh); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	send(2*phase, 3*phase)
+	ids := recvUntil(3*phase-1, 2*time.Second)
+	took := time.Since(start)
+
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			t.Fatalf("delivery out of order: %v", ids)
+		}
+	}
+	if n := len(ids); n < phase || ids[n-phase] != 2*phase {
+		t.Errorf("delivered %v after the cut; want every packet sent after the removal", ids)
+	}
+	if _, rx := b.ChannelState(deadCh); rx != MemberRemoved {
+		t.Errorf("dead channel rx state = %v, want removed", rx)
+	}
+	// The scan must not retire the slot on its own: only the drain bound
+	// (drainIdleTicks ticks of at least defaultMarkerInterval) may.
+	if bound := drainIdleTicks * defaultMarkerInterval; took < bound/2 {
+		t.Errorf("delivery resumed after %v, before the drain bound (%v) could retire the slot", took, bound)
 	}
 }

@@ -359,17 +359,10 @@ func TestSessionCollectorWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pump := func(chans []*LocalChannel, dst *Session) {
-		for i, ch := range chans {
-			go func(i int, ch *LocalChannel) {
-				for p := range ch.Out() {
-					dst.Arrive(i, p)
-				}
-			}(i, ch)
-		}
+	for i := range abChans {
+		b.Attach(i, abChans[i])
+		a.Attach(i, baChans[i])
 	}
-	pump(abChans, b)
-	pump(baChans, a)
 
 	const n = 200
 	done := make(chan error, 1)

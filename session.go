@@ -3,6 +3,7 @@ package stripe
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"stripe/internal/core"
@@ -84,160 +85,135 @@ type HealthConfig struct {
 }
 
 // Session is one end of a duplex striped connection: a Sender for this
-// end's data and a Receiver for the peer's, with markers carrying
-// credits between them. Both directions must use the same number of
-// channels. Safe for concurrent use.
+// end's data and a Receiver for the peer's, joined by a coupler that
+// carries credits and membership from the receive half to the transmit
+// half. Both directions must use the same number of channels. Safe for
+// concurrent use.
+//
+// The halves lock independently. The receive path (Arrive, the Recv
+// methods and the resequencer callbacks) never waits on the transmit
+// lock: a transmit lock held across a blocked channel write would
+// otherwise stop this end's read pumps, and with them the peer's
+// sender. The transmit side may read receive state, in this order:
+//
+//stripe:locks Sender.mu<Receiver.mu<coupler.mu
 type Session struct {
-	// One mutex guards both directions: marker processing on the
-	// receive path applies credits to the transmit gate, and marker
-	// emission on the transmit path reads grants from the receive
-	// counters, so split locks would deadlock.
-	mu     sync.Mutex
-	txCond *sync.Cond
-	rxCond *sync.Cond
-	st     *core.Striper
-	gate   *flowcontrol.Gate
-	rs     *core.Resequencer
-	mgr    *flowcontrol.Manager
-	col    *Collector
+	// The peer's direction. Its methods (Arrive, Attach, Recv, TryRecv,
+	// RecvBatch, Stats, Drain, Buffered) are the session's receive
+	// surface; Close and Snapshot are the Session's own.
+	*receiveHalf
+	tx   *Sender // this end's direction; tx.mu is the transmit lock
+	cpl  *coupler
+	peer *obs.PeerView
+	mgr  *flowcontrol.Manager // credits granted to the peer; guarded by Receiver.mu
 
-	// Membership and health state (guarded by mu).
-	n          int
-	window     int64
-	quanta     []int64
-	autoMaxBuf bool // MaxBuffered was derived; recompute it on membership changes
-	health     HealthConfig
-	evicted    []bool      // health-evicted, candidates for automatic reinstatement
-	probeOK    []int       // consecutive successful probes per evicted channel
-	lastMarker []time.Time // last marker arrival per channel, for silence detection
-	lowScore   []int       // consecutive below-threshold health-score windows
-	lastFoldAt int64       // AtNs of the newest rollup the score check consumed
-
-	// Peer telemetry plane (guarded by mu where noted; the PeerView has
-	// its own internal synchronization).
-	peer        *obs.PeerView
-	peerLow     []int  // consecutive below-threshold peer reports (mu)
-	lastPeerSeq uint64 // Seq of the newest peer report the check consumed (mu)
-
-	// one is Send's batch of one (guarded by mu), so the single-packet
-	// path rides sendBatchLocked without allocating a slice per call.
+	// Transmit-side state, guarded by tx.mu.
+	gate           *flowcontrol.Gate
+	n              int
+	window         int64
+	quanta         []int64
+	autoMaxBuf     bool // MaxBuffered was derived; recompute it on membership changes
+	health         HealthConfig
+	evictAfter     int64   // error streak that evicts (0 = off)
+	reinstateAfter int64   // probe streak that reinstates (0 = off)
+	evicted        []bool  // health-evicted, candidates for automatic reinstatement
+	probeOK        []int64 // consecutive successful probes per evicted channel
+	lowScore       []int   // consecutive below-threshold health-score windows
+	lastFoldAt     int64   // AtNs of the newest rollup the score check consumed
+	peerLow        []int   // consecutive below-threshold peer reports
+	lastPeerSeq    uint64  // Seq of the newest peer report the check consumed
+	// Drain bound state (boundDrainsLocked), guarded by Receiver.mu.
+	drainSeen []int64 // bytes arrived on a draining channel at the last tick
+	drainIdle []int   // consecutive ticks a drain saw no arrivals
+	// one is Send's batch of one, so the single-packet path rides
+	// sendBatchLocked without allocating a slice per call.
 	one [1]*packet.Packet
 
-	closed chan struct{}
-	once   sync.Once
+	stop     chan struct{}
+	once     sync.Once
+	loopDone chan struct{} // closed when transmitLoop exits
 }
 
-// NewSession builds one end over this end's transmit channels. Feed
-// packets received from the peer (on all kinds) to Arrive.
+// receiveHalf is Receiver under an unexported name, so Session embeds
+// it without exporting a field: Session.Close is the one shutdown path.
+type receiveHalf = Receiver
+
+// NewSession builds one end over this end's transmit channels. Feed it
+// the packets received from the peer (on all kinds) with Attach or
+// Arrive.
 func NewSession(channels []ChannelSender, cfg SessionConfig) (*Session, error) {
 	n := len(channels)
 	if len(cfg.Quanta) != n {
 		return nil, errors.New("stripe: Quanta must have one entry per channel")
 	}
-	s := &Session{closed: make(chan struct{}), col: cfg.Collector}
-	s.txCond = sync.NewCond(&s.mu)
-	s.rxCond = sync.NewCond(&s.mu)
-	s.n = n
-	s.window = cfg.CreditWindow
-	s.quanta = append([]int64(nil), cfg.Quanta...)
-	s.health = cfg.Health
-	s.evicted = make([]bool, n)
-	s.probeOK = make([]int, n)
-	s.lastMarker = make([]time.Time, n)
-	s.lowScore = make([]int, n)
-	s.peerLow = make([]int, n)
-	s.peer = obs.NewPeerView(n)
-	s.autoMaxBuf = cfg.MaxBuffered == 0 && cfg.CreditWindow > 0
+	s := &Session{
+		cpl:            newCoupler(n),
+		peer:           obs.NewPeerView(n),
+		n:              n,
+		window:         cfg.CreditWindow,
+		quanta:         append([]int64(nil), cfg.Quanta...),
+		autoMaxBuf:     cfg.MaxBuffered == 0 && cfg.CreditWindow > 0,
+		health:         cfg.Health,
+		evictAfter:     healthCount(cfg.Health.EvictAfter, 8, cfg.Health.Disable),
+		reinstateAfter: healthCount(int64(cfg.Health.ReinstateAfter), 3, cfg.Health.Disable),
+		evicted:        make([]bool, n),
+		probeOK:        make([]int64, n),
+		lowScore:       make([]int, n),
+		peerLow:        make([]int, n),
+		drainSeen:      make([]int64, n),
+		drainIdle:      make([]int, n),
+		stop:           make(chan struct{}),
+		loopDone:       make(chan struct{}),
+	}
 
-	// Receive side first: the credit manager reads its drain counters.
 	maxBuf := cfg.MaxBuffered
 	switch {
 	case maxBuf < 0: // explicitly unbounded
 		maxBuf = 0
-	case maxBuf == 0 && cfg.CreditWindow > 0:
+	case s.autoMaxBuf:
 		// Flow control bounds legitimate occupancy, so default to the
 		// cap it implies instead of unbounded memory.
 		maxBuf = DefaultMaxBuffered(n, cfg.CreditWindow, cfg.Quanta)
 	}
-	rcfg := core.ResequencerConfig{
-		Mode:        cfg.Mode,
-		N:           n,
-		Obs:         cfg.Collector,
+	rx, err := newReceiver(cfg.Config, core.ResequencerConfig{
 		MaxBuffered: maxBuf,
-		// Invoked from the receive path with s.mu already held.
-		OnMarker: func(c int, m packet.MarkerBlock) {
-			if m.Credits == 0 || s.gate == nil {
-				return
-			}
-			if s.gate.ApplyGrant(c, int64(m.Credits)) != nil {
-				s.col.OnCreditRejected(c)
-				return
-			}
-			s.txCond.Broadcast()
-		},
-		// Invoked from the receive path with s.mu already held: mirror the
-		// peer's announced membership onto this end's transmit side, so
-		// either end removing a channel retires the full duplex link.
-		OnMembership: func(c int, joined bool) { s.onPeerMembership(c, joined) },
-		// Invoked from the receive path with s.mu already held: fold the
-		// peer's reported view of this end's transmit channels.
+		// Both run on the receive path under Receiver.mu. Membership
+		// mirroring is the transmit side's work, so it is only posted.
+		OnMembership: s.cpl.post,
 		OnTelemetry: func(t packet.TelemetryBlock) {
 			s.peer.Apply(t, time.Now().UnixNano())
 		},
-	}
-	if cfg.Mode == ModeLogical {
-		sc, err := cfg.sched()
-		if err != nil {
-			return nil, err
-		}
-		rcfg.Sched = sc
-	}
-	rs, err := core.NewResequencer(rcfg)
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.rs = rs
+	s.receiveHalf = rx
+	rx.sess = s
 
-	// A lifecycle tracer keys packets by the sequence identity they
-	// carry; without AddSeq that identity is in-process only and never
-	// survives an encoded channel, so every remote lifecycle would be
-	// torn. Configuring a tracer therefore implies explicit sequence
-	// numbers.
-	addSeq := cfg.AddSeq
-	if !addSeq && cfg.Collector.Tracer() != nil {
-		addSeq = true
-	}
-	scfg := core.StriperConfig{
-		Channels: channels,
-		Markers:  cfg.markers(),
-		AddSeq:   addSeq,
-		Obs:      cfg.Collector,
-	}
-	scfg.Sched, err = cfg.sched()
-	if err != nil {
-		return nil, err
-	}
+	var scfg core.StriperConfig
 	if cfg.CreditWindow > 0 {
 		gate, err := flowcontrol.NewGate(n, cfg.CreditWindow)
 		if err != nil {
 			return nil, err
 		}
-		// Invoked from the transmit path with s.mu already held.
-		mgr, err := flowcontrol.NewManager(n, cfg.CreditWindow, func(c int) int64 {
-			return rs.DeliveredBytesOn(c)
-		})
+		mgr, err := flowcontrol.NewManager(n, cfg.CreditWindow, rx.rs.DeliveredBytesOn)
 		if err != nil {
 			return nil, err
 		}
 		gate.SetObs(cfg.Collector)
 		mgr.SetObs(cfg.Collector)
-		s.gate = gate
-		s.mgr = mgr
+		s.gate, s.mgr = gate, mgr
 		scfg.Gate = gate
-		scfg.MarkerCredits = func(c int) uint64 { return uint64(mgr.GrantFor(c)) }
+		// Invoked from the transmit path with tx.mu held; the grant is
+		// receive state.
+		scfg.MarkerCredits = func(c int) uint64 {
+			rx.mu.Lock()
+			defer rx.mu.Unlock()
+			return uint64(mgr.GrantFor(c))
+		}
 		// Feed the invariant checker the gate's live credit ledgers. The
-		// checker runs from flush paths that already hold s.mu, which is
-		// also what guards the gate, so the reads are consistent.
+		// checker runs from the striper's flush, which holds tx.mu, the
+		// lock that guards the gate, so the reads are consistent.
 		window := cfg.CreditWindow
 		cfg.Collector.SetCreditSource(func() []obs.CreditAccount {
 			accts := make([]obs.CreditAccount, n)
@@ -254,45 +230,80 @@ func NewSession(channels []ChannelSender, cfg SessionConfig) (*Session, error) {
 			return accts
 		})
 	}
-	st, err := core.NewStriper(scfg)
-	if err != nil {
+	// A lifecycle tracer keys packets by the sequence identity they
+	// carry; without AddSeq that identity is in-process only and never
+	// survives an encoded channel, so every remote lifecycle would be
+	// torn. Configuring a tracer therefore implies explicit sequence
+	// numbers.
+	if cfg.Collector.Tracer() != nil {
+		cfg.AddSeq = true
+	}
+	if s.tx, err = newSender(channels, cfg.Config, scfg); err != nil {
 		return nil, err
 	}
-	s.st = st
 	// Expose the peer view on the collector, so Snapshot, the health
 	// endpoint, and the Prometheus export all carry the peer section.
 	cfg.Collector.SetPeerView(s.peer)
 
-	interval := cfg.MarkerInterval
-	if interval == 0 {
-		interval = 50 * time.Millisecond
-	}
-	if interval > 0 {
-		go s.markerTimer(interval)
-	}
+	go s.transmitLoop(cfg.MarkerInterval)
 	return s, nil
 }
 
-func (s *Session) markerTimer(interval time.Duration) {
+// defaultMarkerInterval is SessionConfig.MarkerInterval's default, and
+// the tick that bounds drains when the marker timer is disabled.
+const defaultMarkerInterval = 50 * time.Millisecond
+
+// transmitLoop is the transmit half's own goroutine: it applies the
+// peer membership events the receive half posts, and on every marker
+// tick cuts markers, reports telemetry and runs the health checks. With
+// the marker timer disabled (interval < 0) it still ticks at the
+// default interval to bound drains, so a link that died mid-drain is
+// retired all the same.
+func (s *Session) transmitLoop(interval time.Duration) {
+	defer close(s.loopDone)
+	markers := interval >= 0
+	if interval <= 0 {
+		interval = defaultMarkerInterval
+	}
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.closed:
+		case <-s.stop:
 			return
+		case <-s.cpl.kick:
+			s.tx.mu.Lock()
+			s.syncLocked()
+			s.tx.mu.Unlock()
 		case <-t.C:
-			s.mu.Lock()
-			s.st.EmitMarkers()
-			// Report this end's receive-side view back to the peer on the
-			// same cadence the markers flow at. A send error feeds the
-			// chosen channel's error streak, which the health tick below
-			// already consumes; beyond that a lost report is harmless —
-			// telemetry is cumulative and the next tick supersedes it.
-			_ = s.st.SendTelemetry(s.rs.TelemetryBlock())
-			s.healthTick()
-			s.mu.Unlock()
+			if markers {
+				s.tick()
+			} else {
+				s.receiveHalf.mu.Lock()
+				s.boundDrainsLocked()
+				s.receiveHalf.mu.Unlock()
+			}
 		}
 	}
+}
+
+// tick runs one marker-timer tick under the transmit lock.
+func (s *Session) tick() {
+	s.tx.mu.Lock()
+	defer s.tx.mu.Unlock()
+	s.syncLocked()
+	s.tx.st.EmitMarkers()
+	// Report this end's receive-side view back to the peer on the same
+	// cadence the markers flow at. A send error feeds the chosen
+	// channel's error streak, which the health tick below already
+	// consumes; beyond that a lost report is harmless — telemetry is
+	// cumulative and the next tick supersedes it.
+	s.receiveHalf.mu.Lock()
+	t := s.rs.TelemetryBlock()
+	s.boundDrainsLocked()
+	s.receiveHalf.mu.Unlock()
+	_ = s.tx.st.SendTelemetry(t)
+	s.healthTick()
 }
 
 // ErrSessionClosed is returned by Send after Close.
@@ -306,8 +317,8 @@ var ErrSessionClosed = errors.New("stripe: session closed")
 // transport error once no eviction can absorb it (health monitoring
 // disabled, or down to the last channel).
 func (s *Session) Send(p *Packet) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.tx.mu.Lock()
+	defer s.tx.mu.Unlock()
 	s.one[0] = p
 	_, err := s.sendBatchLocked(s.one[:1])
 	s.one[0] = nil
@@ -315,7 +326,7 @@ func (s *Session) Send(p *Packet) error {
 }
 
 // SendBatch stripes pkts in FIFO order toward the peer, taking the
-// session lock once for the whole batch and flushing maximal
+// transmit lock once for the whole batch and flushing maximal
 // same-channel runs in single channel writes. It blocks exactly as Send
 // does — while flow control holds the selected channel, and across
 // transport-failure retries the health monitor can absorb — and returns
@@ -323,207 +334,150 @@ func (s *Session) Send(p *Packet) error {
 // error (session closed, or a transport error no eviction can absorb);
 // pkts[n:] were not sent.
 //
-// Arrivals (and the credits they carry) are processed by Arrive on
-// other goroutines, so a batch blocked on credit makes progress exactly
-// as single-packet Sends would; the batch only amortizes lock and
-// flush overhead, it never holds the lock while waiting.
+// Arrivals (and the credits they carry) are processed on other
+// goroutines without the transmit lock, so a batch blocked on credit —
+// or on a full transport — never stops this end from receiving; the
+// lock is released while waiting for credit.
 func (s *Session) SendBatch(pkts []*Packet) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.tx.mu.Lock()
+	defer s.tx.mu.Unlock()
 	return s.sendBatchLocked(pkts)
 }
 
-// sendBatchLocked is the session transmit loop: Send's historical
-// gated-wait and eviction-retry behavior, applied to a batch. Caller
-// holds s.mu.
+// sendBatchLocked is the session transmit loop: gated waits and
+// eviction retries, applied to a batch. Only the time parked waiting
+// for credit is charged to the credit-stall clock. Caller holds tx.mu.
 func (s *Session) sendBatchLocked(pkts []*packet.Packet) (int, error) {
-	var stalled time.Time
+	var stalled time.Duration
 	done := 0
 	for done < len(pkts) {
+		// Read before the stop check and syncLocked, so a later Close or
+		// grant ends the wait below.
+		seen := s.cpl.seq.Load()
 		select {
-		case <-s.closed:
-			s.noteStall(stalled)
+		case <-s.stop:
+			s.col.AddCreditStall(stalled)
 			return done, ErrSessionClosed
 		default:
 		}
-		n, err := s.st.SendBatch(pkts[done:])
+		s.syncLocked()
+		n, err := s.tx.st.SendBatch(pkts[done:])
 		done += n
 		if err == core.ErrGated {
-			if s.col != nil && stalled.IsZero() {
-				stalled = time.Now()
-			}
-			s.txCond.Wait()
+			start := time.Now()
+			s.cpl.wait(&s.tx.mu, seen)
+			stalled += time.Since(start)
 			continue
 		}
 		var cse *core.ChannelSendError
-		if errors.As(err, &cse) && s.evictThreshold() > 0 && s.st.ActiveN() > 1 {
+		if errors.As(err, &cse) && s.evictAfter > 0 && s.tx.st.ActiveN() > 1 {
 			// The failed send was not accounted to the scheduler, so the
 			// retry targets the same channel until its streak trips the
 			// eviction threshold; after eviction it goes to a survivor.
-			if s.st.ErrStreak(cse.Channel) >= s.evictThreshold() {
-				s.evictLocked(cse.Channel, s.st.ErrStreak(cse.Channel))
+			if s.tx.st.ErrStreak(cse.Channel) >= s.evictAfter {
+				s.evictLocked(cse.Channel, s.tx.st.ErrStreak(cse.Channel))
 			}
 			continue
 		}
 		if err != nil {
-			s.noteStall(stalled)
+			s.col.AddCreditStall(stalled)
 			return done, err
 		}
 	}
-	s.noteStall(stalled)
+	s.col.AddCreditStall(stalled)
 	return done, nil
-}
-
-// noteStall charges the time since the first gated attempt of a Send
-// to the collector's credit-stall clock.
-func (s *Session) noteStall(since time.Time) {
-	if s.col == nil || since.IsZero() {
-		return
-	}
-	s.col.AddCreditStall(time.Since(since))
 }
 
 // SendBytes stripes a payload.
 func (s *Session) SendBytes(payload []byte) error { return s.Send(Data(payload)) }
 
-// Arrive hands the session a packet received from the peer on channel
-// c (any kind: data, markers with credits, resets).
-func (s *Session) Arrive(c int, p *Packet) {
-	s.mu.Lock()
-	// Process piggybacked credit state immediately rather than when the
-	// marker is consumed in scan order: grants and reconciled positions
-	// are monotone, so reading them early is safe, and it keeps the
-	// transmit side live even when the application is slow to Recv.
-	if p.Kind == KindMarker {
-		if m, err := packet.MarkerOf(p); err == nil && int(m.Channel) == c && c >= 0 && c < s.n {
-			s.lastMarker[c] = time.Now()
-			// Reconcile before the resequencer sees the marker: right now
-			// the per-channel FIFO guarantees every data byte the peer
-			// sent before cutting this marker has either arrived or is
-			// lost, so Sent − arrived is the channel's exact cumulative
-			// loss and the peer's window can be re-granted past it.
-			if s.mgr != nil {
-				s.mgr.Reconcile(c, int64(m.Sent),
-					s.rs.ArrivedBytesOn(c), s.rs.BufferedBytesOn(c))
+// arrive is the Receiver's arrive hook, run under Receiver.mu for every
+// packet before the resequencer sees it. Piggybacked credit state is
+// processed here rather than when the marker is consumed in scan
+// order: grants and reconciled positions are monotone, so reading them
+// early is safe, and it keeps the transmit side live even when the
+// application is slow to Recv.
+func (s *Session) arrive(c int, p *Packet) {
+	if p.Kind != KindMarker {
+		return
+	}
+	m, err := packet.MarkerOf(p)
+	if err != nil || int(m.Channel) != c || c < 0 || c >= s.n {
+		return
+	}
+	s.cpl.markerAt[c].Store(time.Now().UnixNano())
+	// Reconcile before the resequencer sees the marker: right now the
+	// per-channel FIFO guarantees every data byte the peer sent before
+	// cutting this marker has either arrived or is lost, so Sent −
+	// arrived is the channel's exact cumulative loss and the peer's
+	// window can be re-granted past it.
+	if s.mgr != nil {
+		s.mgr.Reconcile(c, int64(m.Sent), s.rs.ArrivedBytesOn(c), s.rs.BufferedBytesOn(c))
+	}
+	if s.gate != nil && m.Credits > 0 {
+		if g := int64(m.Credits); g < 0 {
+			s.col.OnCreditRejected(c)
+		} else {
+			s.cpl.grant(c, g)
+		}
+	}
+}
+
+// syncLocked folds in what the receive half handed over since the last
+// call: peer credit grants into the gate, and peer membership onto the
+// transmit set, so either end removing (or re-adding) a channel
+// retires (or restores) the full duplex link. The mirror terminates:
+// re-applying an applied transition is a no-op and announces nothing.
+// Caller holds tx.mu.
+func (s *Session) syncLocked() {
+	k := s.cpl
+	if k.granted.Load() && k.granted.Swap(false) {
+		for c := range k.grants {
+			g := k.grants[c].Load()
+			if g > 0 && s.gate.ApplyGrant(c, g) != nil {
+				s.col.OnCreditRejected(c)
+				// Drop it, so it cannot mask the valid grants after it.
+				k.grants[c].CompareAndSwap(g, 0)
 			}
-			if s.gate != nil && m.Credits > 0 {
-				if s.gate.ApplyGrant(c, int64(m.Credits)) != nil {
-					s.col.OnCreditRejected(c)
-				} else {
-					s.txCond.Broadcast()
+		}
+	}
+	if k.mirrored.Load() && k.mirrored.Swap(false) {
+		for c := range k.mirror {
+			switch k.mirror[c].Swap(0) {
+			case mirrorJoin:
+				if s.tx.st.Member(c) == core.MemberRemoved {
+					_ = s.admitTxLocked(c, nil)
+				}
+			case mirrorLeave:
+				if s.tx.st.Member(c) == core.MemberActive {
+					_ = s.removeTxLocked(c)
 				}
 			}
 		}
 	}
-	s.rs.Arrive(c, p)
-	s.mu.Unlock()
-	s.rxCond.Broadcast()
-}
-
-// TryRecv returns the next in-order packet without blocking.
-func (s *Session) TryRecv() (*Packet, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rs.Next()
-}
-
-// Recv blocks for the next in-order packet, or returns nil when the
-// session is closed.
-func (s *Session) Recv() *Packet {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if p, ok := s.rs.Next(); ok {
-			return p
-		}
-		select {
-		case <-s.closed:
-			return nil
-		default:
-		}
-		s.rxCond.Wait()
-	}
-}
-
-// RecvBatch fills dst with as many consecutive in-order packets as are
-// deliverable right now, blocking (like Recv) until at least one is
-// available, and returns the number filled. Zero means the session was
-// closed. The lock is taken once per batch, not once per packet.
-//
-// Received packets are owned by the caller; pooled ones (the netchan
-// receive path draws from the packet pool) may be handed back with
-// Packet.Release once their payloads are consumed, which is what keeps
-// the steady-state receive path allocation-free.
-func (s *Session) RecvBatch(dst []*Packet) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if n := s.rs.NextBatch(dst); n > 0 {
-			return n
-		}
-		select {
-		case <-s.closed:
-			return 0
-		default:
-		}
-		s.rxCond.Wait()
-	}
 }
 
 // EmitMarkers cuts a marker batch (with piggybacked credits) now.
-func (s *Session) EmitMarkers() {
-	s.mu.Lock()
-	s.st.EmitMarkers()
-	s.mu.Unlock()
-}
+func (s *Session) EmitMarkers() { s.tx.EmitMarkers() }
 
-// Close stops the marker timer and unblocks Send and Recv.
+// Close unblocks Send and Recv, and stops the marker timer and the read
+// pumps started by Attach, waiting for them to exit.
 func (s *Session) Close() {
-	s.once.Do(func() { close(s.closed) })
-	// Broadcast under the session lock. A credit-stalled sender holds
-	// s.mu continuously from its closed-channel check to txCond.Wait;
-	// an unlocked broadcast could fire in that window and wake nobody,
-	// leaving the sender parked forever (no credits are coming after
-	// Close). Taking the lock serializes with that critical section:
-	// either the sender sees the closed channel, or it is already
-	// waiting when the broadcast fires.
-	s.mu.Lock()
-	s.txCond.Broadcast()
-	s.rxCond.Broadcast()
-	s.mu.Unlock()
-}
-
-// Stats returns this end's receive counters.
-func (s *Session) Stats() ReceiverStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rs.Stats()
+	s.once.Do(func() { close(s.stop) })
+	s.cpl.notify() // parked senders wake and see stop
+	s.receiveHalf.Close()
+	<-s.loopDone
 }
 
 // SendStats returns this end's transmit counters, including the
 // per-channel data load.
-func (s *Session) SendStats() SenderStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.st.Stats()
-}
+func (s *Session) SendStats() SenderStats { return s.tx.Stats() }
 
 // Snapshot returns the attached Collector's metrics (the zero Snapshot
-// when no Collector was configured). It briefly takes the session lock
+// when no Collector was configured). It briefly takes the transmit lock
 // to flush the batched transmit counters first, so the snapshot is
 // exact as of this call.
-func (s *Session) Snapshot() Snapshot {
-	if s.col == nil {
-		return Snapshot{}
-	}
-	s.mu.Lock()
-	s.st.SyncObs()
-	s.mu.Unlock()
-	return s.col.Snapshot()
-}
+func (s *Session) Snapshot() Snapshot { return s.tx.Snapshot() }
 
 // PeerView returns the session's peer telemetry view: the remote
 // resequencer's reported loss, occupancy, and marker timestamp pairs,
@@ -535,11 +489,12 @@ func (s *Session) PeerView() *obs.PeerView { return s.peer }
 // CreditRemaining reports the unused grant for channel c (0 when flow
 // control is disabled).
 func (s *Session) CreditRemaining(c int) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.tx.mu.Lock()
+	defer s.tx.mu.Unlock()
 	if s.gate == nil {
 		return 0
 	}
+	s.syncLocked()
 	return s.gate.Remaining(c)
 }
 
@@ -548,9 +503,10 @@ func (s *Session) CreditRemaining(c int) int64 {
 // ActiveChannels returns the number of channels currently in this end's
 // transmit live set.
 func (s *Session) ActiveChannels() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.st.ActiveN()
+	s.tx.mu.Lock()
+	defer s.tx.mu.Unlock()
+	s.syncLocked()
+	return s.tx.st.ActiveN()
 }
 
 // ChannelState reports channel c's lifecycle state on this end's
@@ -558,9 +514,13 @@ func (s *Session) ActiveChannels() int {
 // a membership change propagates (for example tx removed, rx still
 // draining the peer's in-flight tail).
 func (s *Session) ChannelState(c int) (tx, rx MemberState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.st.Member(c), s.rs.MemberState(c)
+	s.tx.mu.Lock()
+	s.syncLocked()
+	tx = s.tx.st.Member(c)
+	s.tx.mu.Unlock()
+	s.receiveHalf.mu.Lock()
+	defer s.receiveHalf.mu.Unlock()
+	return tx, s.rs.MemberState(c)
 }
 
 // RemoveChannel gracefully retires channel c from this end's transmit
@@ -572,8 +532,9 @@ func (s *Session) ChannelState(c int) (tx, rx MemberState) {
 // retires once the peer's mirrored removal completes. The last active
 // channel cannot be removed.
 func (s *Session) RemoveChannel(c int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.tx.mu.Lock()
+	defer s.tx.mu.Unlock()
+	s.syncLocked()
 	err := s.removeTxLocked(c)
 	if err == nil && c >= 0 && c < s.n {
 		// Manual removals are not reinstatement candidates.
@@ -589,15 +550,16 @@ func (s *Session) RemoveChannel(c int) error {
 // transmit side, restoring the full duplex link; FIFO delivery over the
 // grown set resumes within one marker period.
 func (s *Session) AddChannel(c int, tx ChannelSender) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.tx.mu.Lock()
+	defer s.tx.mu.Unlock()
+	s.syncLocked()
 	return s.admitTxLocked(c, tx)
 }
 
 // removeTxLocked retires c from the transmit set and tears down its
-// flow-control account. Caller holds s.mu.
+// flow-control account. Caller holds tx.mu.
 func (s *Session) removeTxLocked(c int) error {
-	if err := s.st.RemoveChannel(c); err != nil {
+	if err := s.tx.st.RemoveChannel(c); err != nil {
 		return err
 	}
 	var returned int64
@@ -606,18 +568,18 @@ func (s *Session) removeTxLocked(c int) error {
 		// granted == consumed so the conservation checker sees no leak.
 		returned = s.gate.Retire(c)
 	}
-	s.col.OnMemberDrain(c, s.st.Round(), returned)
+	s.col.OnMemberDrain(c, s.tx.st.Round(), returned)
 	s.recomputeMaxBufLocked()
 	// Senders parked on the removed channel's credit must re-Select.
-	s.txCond.Broadcast()
+	s.cpl.notify()
 	return nil
 }
 
 // admitTxLocked (re)admits c into the transmit set with a fresh credit
-// window. Caller holds s.mu.
+// window. Caller holds tx.mu.
 func (s *Session) admitTxLocked(c int, tx ChannelSender) error {
-	wasActive := s.st.Member(c) == core.MemberActive
-	join, err := s.st.AddChannel(c, tx)
+	wasActive := s.tx.st.Member(c) == core.MemberActive
+	join, err := s.tx.st.AddChannel(c, tx)
 	if err != nil {
 		return err
 	}
@@ -629,78 +591,75 @@ func (s *Session) admitTxLocked(c int, tx ChannelSender) error {
 	}
 	s.evicted[c] = false
 	s.probeOK[c] = 0
-	s.lastMarker[c] = time.Time{} // silence detection restarts at the first marker
+	s.cpl.markerAt[c].Store(0) // silence detection restarts at the first marker
 	// Flush the batched byte counters first so the fairness baseline
 	// rebases to an exact byte position.
-	s.st.SyncObs()
+	s.tx.st.SyncObs()
 	s.col.RebaseFairness(c, join)
 	s.col.OnMemberJoin(c, join)
 	s.recomputeMaxBufLocked()
-	s.txCond.Broadcast()
+	s.cpl.notify()
 	return nil
-}
-
-// onPeerMembership mirrors the peer's announced membership onto this
-// end's transmit side, so one end's removal (or join) retires or
-// restores the full duplex link. The mirror terminates: re-applying an
-// already-applied transition is a no-op and triggers no announcement.
-// Invoked by the resequencer with s.mu held.
-func (s *Session) onPeerMembership(c int, joined bool) {
-	if joined {
-		if s.st.Member(c) == core.MemberRemoved {
-			_ = s.admitTxLocked(c, nil)
-		}
-		return
-	}
-	if s.st.Member(c) == core.MemberActive {
-		_ = s.removeTxLocked(c)
-	}
 }
 
 // evictLocked force-removes channel c after the health monitor (or the
 // Send retry loop) observed it dead: transmit removal plus local
 // receive-side retirement — a dead link will never complete the
 // peer-mirrored drain, and the missing tail is declared lost so the
-// stream resumes FIFO on the survivors. Caller holds s.mu.
+// stream resumes FIFO on the survivors. Caller holds tx.mu.
 func (s *Session) evictLocked(c int, value int64) {
 	if s.removeTxLocked(c) != nil {
 		return
 	}
+	s.receiveHalf.mu.Lock()
 	_ = s.rs.RemoveChannel(c)
+	s.receiveHalf.mu.Unlock()
+	s.cond.Broadcast()
 	s.evicted[c] = true
 	s.probeOK[c] = 0
 	s.col.OnMemberEvict(c, value)
 }
 
-// evictThreshold returns the effective consecutive-error eviction
-// threshold (0 = eviction disabled).
-func (s *Session) evictThreshold() int64 {
-	if s.health.Disable {
-		return 0
-	}
-	switch {
-	case s.health.EvictAfter > 0:
-		return s.health.EvictAfter
-	case s.health.EvictAfter < 0:
-		return 0
-	default:
-		return 8
+// drainIdleTicks bounds a receive-side drain that waits for its leave
+// delimiter: a channel the peer announced as leaving that receives no
+// data for this many marker ticks (of the default interval when the
+// marker timer is off) is declared dead and retired, its missing tail
+// lost. A healthy link delivers its tail and delimiter well within one
+// tick, so the bound only ever fires on a dead one.
+const drainIdleTicks = 8
+
+// boundDrainsLocked applies drainIdleTicks for one tick. It is
+// receive-side work: caller holds Receiver.mu, and needs no transmit
+// lock.
+func (s *Session) boundDrainsLocked() {
+	for c := 0; c < s.n; c++ {
+		if s.rs.MemberState(c) != MemberDraining {
+			s.drainIdle[c] = 0
+			continue
+		}
+		if a := s.rs.ArrivedBytesOn(c); a != s.drainSeen[c] {
+			s.drainSeen[c], s.drainIdle[c] = a, 0
+		} else if s.drainIdle[c]++; s.drainIdle[c] >= drainIdleTicks {
+			// Marks the stream complete, as the delimiter would have; a
+			// slot still holding packets retires once they are delivered.
+			// The survivors' packets may be deliverable now: wake Recv.
+			_ = s.rs.RemoveChannel(c)
+			s.drainIdle[c] = 0
+			s.cond.Broadcast()
+		}
 	}
 }
 
-// reinstateThreshold returns the effective probe streak for automatic
-// reinstatement (0 = disabled).
-func (s *Session) reinstateThreshold() int {
-	if s.health.Disable {
-		return 0
-	}
+// healthCount resolves a HealthConfig count: positive as given, zero
+// the default, negative (or a disabled monitor) off, reported as 0.
+func healthCount(v, def int64, disabled bool) int64 {
 	switch {
-	case s.health.ReinstateAfter > 0:
-		return s.health.ReinstateAfter
-	case s.health.ReinstateAfter < 0:
+	case disabled || v < 0:
 		return 0
+	case v == 0:
+		return def
 	default:
-		return 3
+		return v
 	}
 }
 
@@ -709,10 +668,9 @@ func (s *Session) reinstateThreshold() int {
 // for ScoreStreak consecutive rollup windows is evicted, with the
 // score as the eviction value. Each published rollup advances a
 // channel's streak at most once (the marker timer ticks faster than
-// the rollup folds). Caller holds s.mu.
+// the rollup folds). Caller holds tx.mu.
 func (s *Session) scoreTick() {
-	threshold := s.health.ScoreEvictBelow
-	if threshold <= 0 {
+	if s.health.ScoreEvictBelow <= 0 {
 		return
 	}
 	snap := s.col.Windows().Latest()
@@ -720,27 +678,8 @@ func (s *Session) scoreTick() {
 		return
 	}
 	s.lastFoldAt = snap.AtNs
-	streak := s.health.ScoreStreak
-	if streak < 1 {
-		streak = 2
-	}
 	for _, h := range snap.Health {
-		c := h.Channel
-		if c < 0 || c >= s.n {
-			continue
-		}
-		if s.st.Member(c) != core.MemberActive {
-			s.lowScore[c] = 0
-			continue
-		}
-		if h.Score >= threshold {
-			s.lowScore[c] = 0
-			continue
-		}
-		if s.lowScore[c]++; s.lowScore[c] >= streak && s.st.ActiveN() > 1 {
-			s.evictLocked(c, int64(h.Score))
-			s.lowScore[c] = 0
-		}
+		s.lowScoreStep(s.lowScore, h.Channel, h.Score, s.health.ScoreEvictBelow)
 	}
 }
 
@@ -752,10 +691,9 @@ func (s *Session) scoreTick() {
 // peer reports arrive). This is the only rule that sees silent loss:
 // the transport accepts every send, so the local error streak never
 // moves, but the peer's resequencer measured the bytes that never
-// arrived. Caller holds s.mu.
+// arrived. Caller holds tx.mu.
 func (s *Session) peerTick() {
-	threshold := s.health.PeerScoreEvictBelow
-	if threshold <= 0 {
+	if s.health.PeerScoreEvictBelow <= 0 {
 		return
 	}
 	snap := s.peer.Latest()
@@ -763,35 +701,36 @@ func (s *Session) peerTick() {
 		return
 	}
 	s.lastPeerSeq = snap.Seq
+	for _, pc := range snap.Channels {
+		s.lowScoreStep(s.peerLow, pc.Channel, pc.Score, s.health.PeerScoreEvictBelow)
+	}
+}
+
+// lowScoreStep advances channel c's below-threshold streak in low by
+// one report and evicts c once the streak reaches ScoreStreak. Caller
+// holds tx.mu.
+func (s *Session) lowScoreStep(low []int, c, score, threshold int) {
+	if c < 0 || c >= s.n {
+		return
+	}
+	if s.tx.st.Member(c) != core.MemberActive || score >= threshold {
+		low[c] = 0
+		return
+	}
 	streak := s.health.ScoreStreak
 	if streak < 1 {
 		streak = 2
 	}
-	for i := range snap.Channels {
-		pc := &snap.Channels[i]
-		c := pc.Channel
-		if c < 0 || c >= s.n {
-			continue
-		}
-		if s.st.Member(c) != core.MemberActive {
-			s.peerLow[c] = 0
-			continue
-		}
-		if pc.Score >= threshold {
-			s.peerLow[c] = 0
-			continue
-		}
-		if s.peerLow[c]++; s.peerLow[c] >= streak && s.st.ActiveN() > 1 {
-			s.evictLocked(c, int64(pc.Score))
-			s.peerLow[c] = 0
-		}
+	if low[c]++; low[c] >= streak && s.tx.st.ActiveN() > 1 {
+		s.evictLocked(c, int64(score))
+		low[c] = 0
 	}
 }
 
 // healthTick runs the periodic health checks: error-streak,
 // marker-silence, windowed-health-score, and peer-score eviction for
 // active channels, liveness probes and reinstatement for evicted ones.
-// Runs on the marker timer with s.mu held.
+// Runs on the marker timer with tx.mu held.
 func (s *Session) healthTick() {
 	if s.health.Disable {
 		return
@@ -801,25 +740,25 @@ func (s *Session) healthTick() {
 	now := time.Now()
 	for c := 0; c < s.n; c++ {
 		switch {
-		case s.st.Member(c) == core.MemberActive:
-			if s.st.ActiveN() <= 1 {
+		case s.tx.st.Member(c) == core.MemberActive:
+			if s.tx.st.ActiveN() <= 1 {
 				continue // never evict the last channel
 			}
-			if ea := s.evictThreshold(); ea > 0 && s.st.ErrStreak(c) >= ea {
-				s.evictLocked(c, s.st.ErrStreak(c))
+			if s.evictAfter > 0 && s.tx.st.ErrStreak(c) >= s.evictAfter {
+				s.evictLocked(c, s.tx.st.ErrStreak(c))
 				continue
 			}
-			if s.health.MarkerSilence > 0 && !s.lastMarker[c].IsZero() {
-				if sil := now.Sub(s.lastMarker[c]); sil > s.health.MarkerSilence {
+			if at := s.cpl.markerAt[c].Load(); s.health.MarkerSilence > 0 && at != 0 {
+				if sil := now.Sub(time.Unix(0, at)); sil > s.health.MarkerSilence {
 					s.evictLocked(c, int64(sil))
 				}
 			}
-		case s.evicted[c] && s.reinstateThreshold() > 0:
+		case s.evicted[c] && s.reinstateAfter > 0:
 			// Probe the evicted channel with an idempotent status
 			// announcement; a streak of successful sends is the recovery
 			// signal.
-			if s.st.ProbeChannel(c) == nil {
-				if s.probeOK[c]++; s.probeOK[c] >= s.reinstateThreshold() {
+			if s.tx.st.ProbeChannel(c) == nil {
+				if s.probeOK[c]++; s.probeOK[c] >= s.reinstateAfter {
 					if s.admitTxLocked(c, nil) == nil {
 						s.col.OnMemberReinstate(c)
 					}
@@ -834,16 +773,106 @@ func (s *Session) healthTick() {
 // recomputeMaxBufLocked re-derives the resequencer's buffer cap for the
 // current live set when the cap was derived (not explicitly
 // configured): a smaller live set legitimately buffers less, and a
-// grown one needs headroom back. Caller holds s.mu.
+// grown one needs headroom back. Caller holds tx.mu.
 func (s *Session) recomputeMaxBufLocked() {
 	if !s.autoMaxBuf {
 		return
 	}
 	live := make([]int64, 0, s.n)
 	for c := 0; c < s.n; c++ {
-		if s.st.Member(c) == core.MemberActive {
+		if s.tx.st.Member(c) == core.MemberActive {
 			live = append(live, s.quanta[c])
 		}
 	}
+	s.receiveHalf.mu.Lock()
 	s.rs.SetMaxBuffered(DefaultMaxBuffered(len(live), s.window, live))
+	s.receiveHalf.mu.Unlock()
+}
+
+// coupler carries what the receive half hands the transmit half, so
+// the receive path never takes the transmit lock: credit grants and
+// marker arrival times as monotone per-channel atomics, peer membership
+// events through a per-channel mailbox, and an event count that wakes
+// credit-stalled senders. Everything is allocated once, at
+// construction; nothing allocates per packet or per marker.
+type coupler struct {
+	grants   []atomic.Int64 // newest peer credit grant per channel
+	granted  atomic.Bool    // grants holds one the gate has not folded in
+	markerAt []atomic.Int64 // UnixNano of the newest marker arrival per channel (0 = none)
+	mirror   []atomic.Int32 // newest unapplied peer membership event per channel
+	mirrored atomic.Bool    // mirror holds an event
+	kick     chan struct{}  // wakes the transmit loop to apply mirror events
+
+	mu   sync.Mutex
+	cond *sync.Cond
+	seq  atomic.Uint64 // event count; written under mu
+}
+
+// Mailbox events (coupler.mirror).
+const (
+	mirrorJoin int32 = iota + 1
+	mirrorLeave
+)
+
+func newCoupler(n int) *coupler {
+	k := &coupler{
+		grants:   make([]atomic.Int64, n),
+		markerAt: make([]atomic.Int64, n),
+		mirror:   make([]atomic.Int32, n),
+		kick:     make(chan struct{}, 1),
+	}
+	k.cond = sync.NewCond(&k.mu)
+	return k
+}
+
+// grant records a peer credit grant for channel c and wakes stalled
+// senders. Grants are cumulative, so only a larger one is news.
+func (k *coupler) grant(c int, g int64) {
+	if g <= k.grants[c].Load() {
+		return
+	}
+	k.grants[c].Store(g)
+	k.granted.Store(true)
+	k.notify()
+}
+
+// post records the receive side's membership transition on channel c
+// (the resequencer's OnMembership) for the transmit side to mirror.
+// Only the newest event per channel matters: mirroring applies a state,
+// and re-applying the current one is a no-op.
+func (k *coupler) post(c int, joined bool) {
+	ev := mirrorLeave
+	if joined {
+		ev = mirrorJoin
+	}
+	k.mirror[c].Store(ev)
+	k.mirrored.Store(true)
+	select {
+	case k.kick <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+}
+
+// notify advances the event count, waking every parked sender.
+func (k *coupler) notify() {
+	k.mu.Lock()
+	k.seq.Add(1)
+	k.mu.Unlock()
+	k.cond.Broadcast()
+}
+
+// wait parks until the event count moves past seen. Like
+// sync.Cond.Wait it releases l, the caller's transmit lock, while
+// parked and reacquires it before returning. Reading seen before
+// checking for credit (and for Close) makes the wait race-free: a
+// grant or Close that lands after the check has already advanced the
+// count.
+func (k *coupler) wait(l sync.Locker, seen uint64) {
+	l.Unlock()
+	k.mu.Lock()
+	for k.seq.Load() == seen {
+		k.cond.Wait()
+	}
+	k.mu.Unlock()
+	l.Lock()
 }

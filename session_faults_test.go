@@ -36,20 +36,10 @@ func wireLossySessions(t *testing.T, nch int, loss float64, mk func(col *Collect
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pumps sync.WaitGroup
-	pump := func(chans []*LocalChannel, dst *Session) {
-		for i, ch := range chans {
-			pumps.Add(1)
-			go func(i int, ch *LocalChannel) {
-				defer pumps.Done()
-				for p := range ch.Out() {
-					dst.Arrive(i, p)
-				}
-			}(i, ch)
-		}
+	for i := range abChans {
+		b.Attach(i, abChans[i])
+		a.Attach(i, baChans[i])
 	}
-	pump(abChans, b)
-	pump(baChans, a)
 	cleanup = func() {
 		a.Close()
 		b.Close()
@@ -59,7 +49,6 @@ func wireLossySessions(t *testing.T, nch int, loss float64, mk func(col *Collect
 		for _, ch := range baChans {
 			ch.Close()
 		}
-		pumps.Wait()
 	}
 	return a, b, cleanup
 }

@@ -32,20 +32,10 @@ func wireSessions(t *testing.T, nch int, cfg SessionConfig) (a, b *Session, clea
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pumps sync.WaitGroup
-	pump := func(chans []*LocalChannel, dst *Session) {
-		for i, ch := range chans {
-			pumps.Add(1)
-			go func(i int, ch *LocalChannel) {
-				defer pumps.Done()
-				for p := range ch.Out() {
-					dst.Arrive(i, p)
-				}
-			}(i, ch)
-		}
+	for i := range abChans {
+		b.Attach(i, abChans[i])
+		a.Attach(i, baChans[i])
 	}
-	pump(abChans, b)
-	pump(baChans, a)
 	cleanup = func() {
 		a.Close()
 		b.Close()
@@ -55,7 +45,6 @@ func wireSessions(t *testing.T, nch int, cfg SessionConfig) (a, b *Session, clea
 		for _, ch := range baChans {
 			ch.Close()
 		}
-		pumps.Wait()
 	}
 	return a, b, cleanup
 }

@@ -3,9 +3,11 @@ package stripe
 import (
 	"errors"
 	"sync"
+	"time"
 
 	"stripe/internal/channel"
 	"stripe/internal/core"
+	"stripe/internal/netchan"
 	"stripe/internal/packet"
 	"stripe/internal/sched"
 )
@@ -222,6 +224,13 @@ type Sender struct {
 
 // NewSender builds the sending half over the given channels.
 func NewSender(channels []ChannelSender, cfg Config) (*Sender, error) {
+	return newSender(channels, cfg, core.StriperConfig{})
+}
+
+// newSender builds a Sender from cfg; scfg carries the flow-control
+// hooks (Gate, MarkerCredits) a Session adds, and newSender fills in
+// the rest.
+func newSender(channels []ChannelSender, cfg Config, scfg core.StriperConfig) (*Sender, error) {
 	if len(cfg.Quanta) != len(channels) {
 		return nil, errors.New("stripe: Quanta and channels must have equal length")
 	}
@@ -229,13 +238,12 @@ func NewSender(channels []ChannelSender, cfg Config) (*Sender, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := core.NewStriper(core.StriperConfig{
-		Sched:    s,
-		Channels: channels,
-		Markers:  cfg.markers(),
-		AddSeq:   cfg.AddSeq,
-		Obs:      cfg.Collector,
-	})
+	scfg.Sched = s
+	scfg.Channels = channels
+	scfg.Markers = cfg.markers()
+	scfg.AddSeq = cfg.AddSeq
+	scfg.Obs = cfg.Collector
+	st, err := core.NewStriper(scfg)
 	if err != nil {
 		return nil, err
 	}
@@ -310,15 +318,22 @@ func (s *Sender) SentOn(c int) (packets, bytes int64) {
 	return s.st.SentOn(c)
 }
 
-// Receiver reassembles the FIFO stream. Feed it with Arrive (one pump
-// per channel is the usual shape) and consume with Recv or TryRecv. It
-// is safe for concurrent use.
+// Receiver reassembles the FIFO stream. Feed it with Attach (one read
+// pump per channel) or Arrive, and consume with Recv or TryRecv. It is
+// safe for concurrent use.
 type Receiver struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	rs     *core.Resequencer
-	col    *Collector
-	closed bool
+	mu   sync.Mutex
+	cond *sync.Cond
+	rs   *core.Resequencer
+	col  *Collector
+	// sess, when set, is the Session this Receiver is the receive half
+	// of; its arrive hook sees every arrival under mu just before the
+	// resequencer does (a static call, so lockorder checks it).
+	sess *Session
+
+	done      chan struct{} // closed by Close: ends Recv waits and read pumps
+	pumps     sync.WaitGroup
+	badFrames int64 // frames the read pumps dropped as undecodable; guarded by mu
 }
 
 // NewReceiver builds the receiving half for n channels.
@@ -330,7 +345,15 @@ func NewReceiver(n int, cfg Config) (*Receiver, error) {
 	if maxBuf < 0 { // explicitly unbounded
 		maxBuf = 0
 	}
-	rcfg := core.ResequencerConfig{Mode: cfg.Mode, N: n, Obs: cfg.Collector, MaxBuffered: maxBuf}
+	return newReceiver(cfg, core.ResequencerConfig{MaxBuffered: maxBuf})
+}
+
+// newReceiver builds a Receiver from cfg; rcfg carries the buffer cap
+// and the callbacks a Session adds, and newReceiver fills in the rest.
+func newReceiver(cfg Config, rcfg core.ResequencerConfig) (*Receiver, error) {
+	rcfg.Mode = cfg.Mode
+	rcfg.N = len(cfg.Quanta)
+	rcfg.Obs = cfg.Collector
 	if cfg.Mode == ModeLogical {
 		s, err := cfg.sched()
 		if err != nil {
@@ -342,7 +365,7 @@ func NewReceiver(n int, cfg Config) (*Receiver, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Receiver{rs: rs, col: cfg.Collector}
+	r := &Receiver{rs: rs, col: cfg.Collector, done: make(chan struct{})}
 	r.cond = sync.NewCond(&r.mu)
 	return r, nil
 }
@@ -351,9 +374,65 @@ func NewReceiver(n int, cfg Config) (*Receiver, error) {
 // (data, marker, or any other kind read off the channel).
 func (r *Receiver) Arrive(c int, p *Packet) {
 	r.mu.Lock()
+	if r.sess != nil {
+		r.sess.arrive(c, p)
+	}
 	r.rs.Arrive(c, p)
 	r.mu.Unlock()
 	r.cond.Broadcast()
+}
+
+// PacketReader is the receive end of a channel transport. ReadPacket
+// blocks for up to timeout and returns (nil, nil) when it expires.
+// UDPChannel, TCPChannel and LocalChannel implement it.
+type PacketReader interface {
+	ReadPacket(timeout time.Duration) (*Packet, error)
+}
+
+// pumpPoll bounds how long a read pump blocks in ReadPacket before it
+// rechecks for Close, and so how long Close waits for its pumps.
+const pumpPoll = 20 * time.Millisecond
+
+// Attach starts a read pump that feeds every packet read from src to
+// Arrive on channel c. A frame src cannot decode (a stray or corrupt
+// datagram, an unknown codepoint) is dropped and counted in
+// Stats().BadFrames, and the pump reads on. The pump ends on Close,
+// which waits for it, or on any other read error (a closed or desynced
+// transport), so it never spins on a dead source. src must honour
+// ReadPacket's timeout. Attach after Close starts nothing.
+func (r *Receiver) Attach(c int, src PacketReader) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closing() {
+		return
+	}
+	r.pumps.Add(1)
+	go r.pump(c, src)
+}
+
+func (r *Receiver) pump(c int, src PacketReader) {
+	defer r.pumps.Done()
+	for !r.closing() {
+		p, err := src.ReadPacket(pumpPoll)
+		if p != nil {
+			r.Arrive(c, p)
+		} else if frameReject(err) {
+			r.mu.Lock()
+			r.badFrames++
+			r.mu.Unlock()
+		} else if err != nil {
+			return
+		}
+	}
+}
+
+// frameReject reports whether a read error rejects one frame and leaves
+// the transport readable: a datagram is self-contained, and a TCP
+// record whose body fails to decode has still been consumed whole.
+func frameReject(err error) bool {
+	return errors.Is(err, netchan.ErrFrameTooShort) ||
+		errors.Is(err, netchan.ErrBadCodepoint) ||
+		errors.Is(err, netchan.ErrBadFlags)
 }
 
 // TryRecv returns the next in-order packet without blocking.
@@ -372,7 +451,7 @@ func (r *Receiver) Recv() *Packet {
 		if p, ok := r.rs.Next(); ok {
 			return p
 		}
-		if r.closed {
+		if r.closing() {
 			return nil
 		}
 		r.cond.Wait()
@@ -395,20 +474,34 @@ func (r *Receiver) RecvBatch(dst []*Packet) int {
 		if n := r.rs.NextBatch(dst); n > 0 {
 			return n
 		}
-		if r.closed {
+		if r.closing() {
 			return 0
 		}
 		r.cond.Wait()
 	}
 }
 
-// Close unblocks pending Recv calls; subsequent Recv calls drain
-// nothing further once the ordering discipline blocks.
+// Close unblocks pending Recv calls, stops the read pumps and waits for
+// them to exit; subsequent Recv calls drain nothing further once the
+// ordering discipline blocks.
 func (r *Receiver) Close() {
 	r.mu.Lock()
-	r.closed = true
+	if !r.closing() {
+		close(r.done)
+	}
 	r.mu.Unlock()
 	r.cond.Broadcast()
+	r.pumps.Wait()
+}
+
+// closing reports whether Close has been called.
+func (r *Receiver) closing() bool {
+	select {
+	case <-r.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Drain force-flushes everything still buffered, best effort, at end of
@@ -430,7 +523,9 @@ func (r *Receiver) Buffered() int {
 func (r *Receiver) Stats() ReceiverStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.rs.Stats()
+	st := r.rs.Stats()
+	st.BadFrames = r.badFrames
+	return st
 }
 
 // Snapshot returns the attached Collector's metrics (the zero Snapshot

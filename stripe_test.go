@@ -176,25 +176,8 @@ func TestSequenceModeOverUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	for i, rc := range recvEnds {
-		wg.Add(1)
-		go func(i int, rc *UDPChannel) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				p, err := rc.ReadPacket(100 * time.Millisecond)
-				if err != nil || p == nil {
-					continue
-				}
-				rx.Arrive(i, p)
-			}
-		}(i, rc)
+		rx.Attach(i, rc)
 	}
 
 	const n = 200
@@ -215,8 +198,7 @@ func TestSequenceModeOverUDP(t *testing.T) {
 			t.Fatalf("timed out at packet %d", i)
 		}
 	}
-	close(stop)
-	wg.Wait()
+	rx.Close()
 }
 
 // TestTCPChannelsAggregate exercises striping across two real TCP
@@ -244,20 +226,9 @@ func TestTCPChannelsAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
 	const n = 300
 	for i, rc := range recvEnds {
-		wg.Add(1)
-		go func(i int, rc *TCPChannel) {
-			defer wg.Done()
-			for {
-				p, err := rc.ReadPacket(2 * time.Second)
-				if err != nil || p == nil {
-					return
-				}
-				rx.Arrive(i, p)
-			}
-		}(i, rc)
+		rx.Attach(i, rc)
 	}
 	payload := make([]byte, 8*1024)
 	go func() {
@@ -278,7 +249,7 @@ func TestTCPChannelsAggregate(t *testing.T) {
 			t.Fatalf("packet %d out of order (tag %d)", i, p.Payload[0])
 		}
 	}
-	wg.Wait()
+	rx.Close()
 }
 
 // TestConfigValidation covers public constructor errors.
