@@ -34,11 +34,22 @@
 // lock is taken once per batch, the scheduler is consulted once per
 // service run, and TCP channels flush once per batch. The single-packet Send and Recv
 // are batches of one, so the two styles mix freely. The pool makes the
-// steady state allocation-free; its lifetime rules:
+// steady state allocation-free, markers included; its lifetime rules:
 //
 //   - GetPacket/GetPacketSized hand you exclusive ownership of a pooled
-//     packet and its payload backing array. Fill it, send it; after a
-//     successful SendBatch the packets belong to the session/transport.
+//     packet and its payload backing array. A pooled packet carries
+//     2 KiB of payload capacity (one MTU class) allocated with the
+//     packet itself, so a pool miss costs one allocation.
+//   - Fill it, send it. Who owns it after a successful SendBatch
+//     depends on the channel: UDP and TCP channels serialize every
+//     packet before Send returns, so it is yours again and you may
+//     Release it at once; over in-process channels (LocalChannel) it
+//     travels as is, and the receiving side owns it.
+//   - Arrive takes ownership of every control packet it is handed
+//     (markers, credits, membership, telemetry, unknown kinds) and
+//     releases it to the pool once consumed or dropped; resets are the
+//     exception, since one reset payload is shared by a whole broadcast.
+//     Read whatever you need from a packet before passing it to Arrive.
 //   - Packets returned by Recv/RecvBatch are yours. Once the payload is
 //     consumed, hand each back with Packet.Release — after Release,
 //     neither the packet nor any slice of its payload may be touched,

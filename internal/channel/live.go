@@ -159,11 +159,14 @@ func (l *Live) deliverLoop(mid <-chan timedPacket) {
 			}
 		}
 		for {
+			// Read the length first: once sent, the packet belongs to
+			// the consumer, which may release or reuse it.
+			n := int64(tp.p.Len())
 			select {
 			case l.out <- tp.p:
 				l.mu.Lock()
 				l.stats.Delivered++
-				l.stats.DeliveredBiB += int64(tp.p.Len())
+				l.stats.DeliveredBiB += n
 				l.mu.Unlock()
 			case <-l.stop:
 				return

@@ -58,10 +58,12 @@ func TestNextBatchEquivalentToNext(t *testing.T) {
 		}
 		for c, q := range g.Queues {
 			if p, ok := q.Recv(); ok {
-				// The same packet pointer feeds both resequencers;
-				// neither mutates buffered packets, so the tee is safe.
+				// Arrive owns control packets (it releases them once
+				// consumed), so each resequencer gets its own copy,
+				// cloned before either sees the packet.
+				b := p.Clone()
 				rsA.Arrive(c, p)
-				rsB.Arrive(c, p)
+				rsB.Arrive(c, b)
 			}
 		}
 		if i%17 == 0 {
@@ -74,8 +76,9 @@ func TestNextBatchEquivalentToNext(t *testing.T) {
 			if !ok {
 				break
 			}
+			b := p.Clone()
 			rsA.Arrive(c, p)
-			rsB.Arrive(c, p)
+			rsB.Arrive(c, b)
 		}
 	}
 	drainBoth()
@@ -100,16 +103,34 @@ func TestNextBatchEquivalentToNext(t *testing.T) {
 // TestBatchedPathSteadyStateZeroAlloc pins the zero-allocation claim of
 // the batched hot path: once the pool and every internal buffer have
 // reached steady state, a full send-batch / arrive / next-batch /
-// release cycle performs no heap allocation at all. Markers are
-// disabled because marker emission builds control payloads (an
-// annotated, accounted-for escape); the data path itself must be clean.
+// release cycle performs no heap allocation at all. With markers on,
+// each marker is drawn from the packet pool and the resequencer
+// releases it once consumed, so the claim holds there too.
 func TestBatchedPathSteadyStateZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		markers MarkerPolicy
+	}{
+		{"markers_off", MarkerPolicy{}},
+		{"markers_on", MarkerPolicy{Every: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.markers.Every != 0 && raceEnabled {
+				t.Skip("markers cycle through sync.Pool, which drops Puts under -race")
+			}
+			testBatchedPathZeroAlloc(t, tc.markers)
+		})
+	}
+}
+
+func testBatchedPathZeroAlloc(t *testing.T, markers MarkerPolicy) {
 	const nch, batch = 4, 64
 	quanta := sched.UniformQuanta(nch, 1500)
 	g := channel.NewGroup(nch, channel.Impairments{})
 	st := mustStriper(t, StriperConfig{
 		Sched:    sched.MustSRR(quanta),
 		Channels: g.Senders(),
+		Markers:  markers,
 	})
 	rs := mustReseq(t, ResequencerConfig{Sched: sched.MustSRR(quanta), Mode: ModeLogical})
 
@@ -157,5 +178,8 @@ func TestBatchedPathSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state batched cycle allocates %.1f times per run, want 0", allocs)
+	}
+	if markers.Every != 0 && st.SentMarkers() == 0 {
+		t.Fatal("no markers were sent")
 	}
 }

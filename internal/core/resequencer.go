@@ -342,7 +342,8 @@ func (r *Resequencer) Buffered() int {
 }
 
 // Arrive accepts a packet physically received on channel c. Packets are
-// buffered; ordering decisions happen in Next.
+// buffered; ordering decisions happen in Next. Arrive owns the control
+// packets it is handed: see release.
 //
 //stripe:hotpath
 func (r *Resequencer) Arrive(c int, p *packet.Packet) {
@@ -375,6 +376,7 @@ func (r *Resequencer) arrive(c int, p *packet.Packet) {
 		} else {
 			r.stats.OldEpochDrops++
 			r.obs.OnOldEpochDrops(1)
+			release(p)
 		}
 		return
 	}
@@ -399,12 +401,14 @@ func (r *Resequencer) arrive(c int, p *packet.Packet) {
 		} else {
 			r.stats.BadMembers++
 		}
+		release(p)
 		return
 	}
 	if p.Kind == packet.Telemetry {
 		// Telemetry is advisory control traffic for the local sender; it
 		// never enters the delivery order or the simulation.
 		r.consumeTelemetry(p)
+		release(p)
 		return
 	}
 	if p.Kind > packet.Telemetry {
@@ -414,6 +418,7 @@ func (r *Resequencer) arrive(c int, p *packet.Packet) {
 		// schedulers and hand it to the application as data, desyncing
 		// the two ends over a packet the sender never striped.
 		r.stats.UnknownKinds++
+		release(p)
 		return
 	}
 	if p.Kind == packet.Marker {
@@ -429,18 +434,11 @@ func (r *Resequencer) arrive(c int, p *packet.Packet) {
 		case packet.Data:
 			r.stats.MemberDrops++
 		case packet.Marker:
-			if m, err := packet.MarkerOf(p); err == nil {
-				r.stats.Markers++
-				r.obs.OnMarkerConsumed(c)
-				if r.onMarker != nil {
-					r.onMarker(c, m)
-				}
-			} else {
-				r.stats.BadMarkers++
-				r.obs.OnBadMarker()
-			}
+			r.consumeMarker(c, p)
 		case packet.Reset:
 			r.applyReset(c, p)
+		default:
+			release(p)
 		}
 		return
 	}
@@ -457,21 +455,15 @@ func (r *Resequencer) arrive(c int, p *packet.Packet) {
 			r.noteDelivered(c, p)
 			r.arrivq.push(p)
 		case packet.Marker:
-			if m, err := packet.MarkerOf(p); err == nil {
-				r.stats.Markers++
-				r.obs.OnMarkerConsumed(c)
-				if r.onMarker != nil {
-					r.onMarker(c, m)
-				}
-			} else {
-				r.stats.BadMarkers++
-				r.obs.OnBadMarker()
-			}
+			r.consumeMarker(c, p)
 		case packet.Reset:
 			r.applyReset(c, p)
+		default:
+			release(p)
 		}
 	default:
 		if p.Kind != packet.Reset && r.enforceCap(c) {
+			release(p)
 			return
 		}
 		r.bufs[c].push(p)
@@ -524,19 +516,12 @@ func (r *Resequencer) drainEagerMarkers(c int) {
 		switch p.Kind {
 		case packet.Marker:
 			r.bufs[c].pop()
-			m, err := packet.MarkerOf(p)
-			if err != nil {
-				r.stats.BadMarkers++
-				r.obs.OnBadMarker()
+			m, ok := r.consumeMarker(c, p)
+			if !ok {
 				continue
 			}
-			r.stats.Markers++
 			r.stats.EagerMarkers++
-			r.obs.OnMarkerConsumed(c)
 			r.obs.OnMarkerDrained(c)
-			if r.onMarker != nil {
-				r.onMarker(c, m)
-			}
 			if r.mode == ModeLogical && r.s != nil {
 				// Applying scheduler state here would happen at an
 				// arbitrary simulation position; stage it instead for the
@@ -550,9 +535,42 @@ func (r *Resequencer) drainEagerMarkers(c int) {
 		case packet.Credit:
 			// Credits belong on the reverse path; tolerate and drop.
 			r.bufs[c].pop()
+			release(p)
 		default:
 			return
 		}
+	}
+}
+
+// consumeMarker takes the marker p, already off channel c's stream, out
+// of the receive path: it decodes and counts it, hands the block to
+// OnMarker, and releases the packet. It reports a valid block, whose
+// scheduler state the caller may apply or stage.
+func (r *Resequencer) consumeMarker(c int, p *packet.Packet) (packet.MarkerBlock, bool) {
+	m, err := packet.MarkerOf(p)
+	release(p)
+	if err != nil {
+		r.stats.BadMarkers++
+		r.obs.OnBadMarker()
+		return m, false
+	}
+	r.stats.Markers++
+	r.obs.OnMarkerConsumed(c)
+	if r.onMarker != nil {
+		r.onMarker(c, m)
+	}
+	return m, true
+}
+
+// release is the one place the receiver gives up the control packets
+// Arrive owns: each goes back to the pool once consumed or dropped.
+// Data belongs to whoever receives it, and resets are kept out because
+// Striper.Reset shares one payload across its broadcast.
+//
+//stripe:allowescape one pool put per consumed control packet, at marker cadence
+func release(p *packet.Packet) {
+	if p.Kind != packet.Data && p.Kind != packet.Reset {
+		p.Release()
 	}
 }
 
@@ -739,8 +757,12 @@ func (r *Resequencer) forceAdvance() bool {
 			// Only control packets remain; consume them.
 			advanced := false
 			for c := 0; c < r.n; c++ {
-				for r.bufs[c].len() > 0 {
-					r.bufs[c].pop()
+				for {
+					q, ok := r.bufs[c].pop()
+					if !ok {
+						break
+					}
+					release(q)
 					advanced = true
 				}
 			}
@@ -765,21 +787,13 @@ func (r *Resequencer) nextCausal() (*packet.Packet, bool) {
 		switch p.Kind {
 		case packet.Marker:
 			r.bufs[c].pop()
-			if m, err := packet.MarkerOf(p); err == nil {
-				r.stats.Markers++
-				r.obs.OnMarkerConsumed(c)
-				if r.onMarker != nil {
-					r.onMarker(c, m)
-				}
-			} else {
-				r.stats.BadMarkers++
-				r.obs.OnBadMarker()
-			}
+			r.consumeMarker(c, p)
 		case packet.Reset:
 			r.bufs[c].pop()
 			r.applyReset(c, p)
 		case packet.Credit:
 			r.bufs[c].pop()
+			release(p)
 		default:
 			r.bufs[c].pop()
 			r.cs.Account(p.Len())
@@ -865,24 +879,16 @@ func (r *Resequencer) nextLogical() (*packet.Packet, bool) {
 		switch p.Kind {
 		case packet.Marker:
 			r.bufs[c].pop()
-			m, err := packet.MarkerOf(p)
-			if err != nil {
-				r.stats.BadMarkers++
-				r.obs.OnBadMarker()
-				continue
+			if m, ok := r.consumeMarker(c, p); ok {
+				r.applyMarker(c, m)
 			}
-			r.stats.Markers++
-			r.obs.OnMarkerConsumed(c)
-			if r.onMarker != nil {
-				r.onMarker(c, m)
-			}
-			r.applyMarker(c, m)
 		case packet.Reset:
 			r.bufs[c].pop()
 			r.applyReset(c, p)
 		case packet.Credit:
 			// Credits belong on the reverse path; tolerate and drop.
 			r.bufs[c].pop()
+			release(p)
 		default:
 			r.bufs[c].pop()
 			r.s.Account(p.Len())
@@ -1074,16 +1080,7 @@ scan:
 				}
 			case packet.Marker:
 				r.bufs[c].pop()
-				if m, err := packet.MarkerOf(p); err == nil {
-					r.stats.Markers++
-					r.obs.OnMarkerConsumed(c)
-					if r.onMarker != nil {
-						r.onMarker(c, m)
-					}
-				} else {
-					r.stats.BadMarkers++
-					r.obs.OnBadMarker()
-				}
+				r.consumeMarker(c, p)
 				continue scan
 			case packet.Reset:
 				r.bufs[c].pop()
@@ -1091,6 +1088,7 @@ scan:
 				continue scan
 			default:
 				r.bufs[c].pop()
+				release(p)
 				continue scan
 			}
 		}
@@ -1156,6 +1154,7 @@ func (r *Resequencer) applyReset(c int, p *packet.Packet) {
 			}
 			r.stats.OldEpochDrops++
 			r.obs.OnOldEpochDrops(1)
+			release(q)
 		}
 	}
 	// Channels outside the live set never carry the new epoch's reset

@@ -314,7 +314,12 @@ func (st *Striper) EmitMarkers() {
 // granted, so the pre-quantum convention subtracts it back; the
 // receiver's marker handling applies the mirror-image adjustment.
 //
-//stripe:allowescape marker batch: control-plane work amortized over a marker interval (policy.Every rounds), and marker packets must allocate
+// Each marker is drawn from the packet pool and encoded into its
+// recycled payload. Over in-process channels the receiving resequencer
+// releases it once consumed; a socket transport serializes it, and the
+// far resequencer releases the decoded copy instead.
+//
+//stripe:allowescape marker batch: control-plane work amortized over a marker interval (policy.Every rounds); a pool miss allocates one packet per marker
 func (st *Striper) emitBatch() {
 	// One delay sample per few marker batches is all the peer's 8-deep
 	// min-filter needs, and a clock read per marker is real money at
@@ -352,7 +357,10 @@ func (st *Striper) emitBatch() {
 			mb.Credits = st.markerCredits(c)
 		}
 		mb.TxNs = txNs
-		if err := st.out[c].Send(packet.NewMarker(mb)); err == nil {
+		p := packet.Get()
+		p.Kind = packet.Marker
+		p.Payload = mb.Encode(p.Payload[:0])
+		if err := st.out[c].Send(p); err == nil {
 			st.sentMarkers++
 			st.errStreak[c] = 0
 			st.obs.OnMarkerEmitted(c)

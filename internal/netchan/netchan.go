@@ -99,7 +99,8 @@ func DecodeFrame(b []byte) (*packet.Packet, error) {
 		p.HasSeq = true
 		b = b[hdrSeq:]
 	}
-	p.Payload = append(p.Payload[:0], b...)
+	p.Resize(len(b))
+	copy(p.Payload, b)
 	return p, nil
 }
 
@@ -165,7 +166,7 @@ func (u *UDPChannel) ReadPacket(timeout time.Duration) (*packet.Packet, error) {
 			return nil, err
 		}
 	}
-	n, _, err := u.conn.ReadFromUDP(u.buf)
+	n, err := u.conn.Read(u.buf)
 	if err != nil {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
@@ -244,17 +245,16 @@ func TCPPair() (*TCPChannel, *TCPChannel, error) {
 }
 
 // writeFrame encodes p and buffers its length-prefixed record without
-// flushing.
+// flushing. The prefix is reserved at the front of the channel's encode
+// buffer, so the record goes to the writer in one Write and nothing
+// escapes per frame.
 func (t *TCPChannel) writeFrame(p *packet.Packet) error {
-	t.wbuf = EncodeFrame(t.wbuf[:0], p)
-	if len(t.wbuf) > MaxFrame {
+	t.wbuf = EncodeFrame(append(t.wbuf[:0], make([]byte, recordLn)...), p)
+	n := len(t.wbuf) - recordLn
+	if n > MaxFrame {
 		return ErrFrameTooBig
 	}
-	var ln [recordLn]byte
-	binary.BigEndian.PutUint32(ln[:], uint32(len(t.wbuf)))
-	if _, err := t.bw.Write(ln[:]); err != nil {
-		return err
-	}
+	binary.BigEndian.PutUint32(t.wbuf[:recordLn], uint32(n))
 	_, err := t.bw.Write(t.wbuf)
 	return err
 }

@@ -538,3 +538,68 @@ func TestUDPSendBatchRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPRoundTripZeroAlloc pins the allocation-free TCP path: in steady
+// state a SendBatch of framed records and the ReadPacket of each, with
+// the decoded packets released, allocate nothing.
+func TestTCPRoundTripZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("decoded packets cycle through sync.Pool, which drops Puts under -race")
+	}
+	send, recv, err := TCPPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+	defer recv.Close()
+	pkts := make([]*packet.Packet, 16)
+	for i := range pkts {
+		pkts[i] = &packet.Packet{Kind: packet.Data, Payload: make([]byte, 64+90*i), Seq: uint64(i), HasSeq: true}
+	}
+	roundTrip := func() {
+		if n, err := send.SendBatch(pkts); err != nil || n != len(pkts) {
+			t.Fatalf("SendBatch = (%d, %v)", n, err)
+		}
+		for i := range pkts {
+			p, err := recv.ReadPacket(2 * time.Second)
+			if err != nil || p == nil {
+				t.Fatalf("read %d: (%v, %v)", i, p, err)
+			}
+			p.Release()
+		}
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(50, roundTrip); allocs != 0 {
+		t.Fatalf("TCP round trip of %d records allocates %.1f times, want 0", len(pkts), allocs)
+	}
+}
+
+// TestUDPRoundTripZeroAlloc is the datagram counterpart: a Send and the
+// matching ReadPacket, with the decoded packet released, allocate
+// nothing in steady state.
+func TestUDPRoundTripZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("decoded packets cycle through sync.Pool, which drops Puts under -race")
+	}
+	send, recv, err := UDPPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+	defer recv.Close()
+	pkt := &packet.Packet{Kind: packet.Data, Payload: make([]byte, 1400)}
+	roundTrip := func() {
+		if err := send.Send(pkt); err != nil {
+			t.Fatal(err)
+		}
+		p, err := recv.ReadPacket(2 * time.Second)
+		if err != nil || p == nil {
+			t.Fatalf("read: (%v, %v)", p, err)
+		}
+		p.Release()
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+		t.Fatalf("UDP round trip allocates %.1f times, want 0", allocs)
+	}
+}

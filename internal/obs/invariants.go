@@ -60,7 +60,9 @@ type CreditAccount struct {
 // CreditSource supplies the current per-channel credit ledgers. It is
 // called from RunChecks, i.e. under the same mutex as the engine flush
 // that triggered it, so implementations may read engine state directly.
-// Register one with Collector.SetCreditSource.
+// The checker reads the returned slice only during that call, so a
+// source may refill one slice every time. Register one with
+// Collector.SetCreditSource.
 type CreditSource func() []CreditAccount
 
 // Checker evaluates protocol invariants on every engine flush. Create
@@ -75,10 +77,17 @@ type Checker struct {
 	mu        sync.Mutex
 	lastRound uint64
 	roundSeen bool
-	inViol    map[string]bool // per-check edge trigger state
-	recent    []Violation     // bounded, oldest first
+	inViol    map[checkKey]bool // edge-trigger state; only violated checks are present
+	recent    []Violation       // bounded, oldest first
 	next      int
 	count     int64
+}
+
+// checkKey names one edge-triggered check: the invariant, and the
+// channel it is evaluated on (-1 for global checks).
+type checkKey struct {
+	check   string
+	channel int
 }
 
 // maxRecentViolations bounds the retained violation history.
@@ -86,7 +95,7 @@ const maxRecentViolations = 64
 
 // NewChecker returns an invariant checker.
 func NewChecker() *Checker {
-	return &Checker{inViol: make(map[string]bool)}
+	return &Checker{inViol: make(map[checkKey]bool)}
 }
 
 // ViolationCount returns the number of violations ever recorded.
@@ -116,6 +125,8 @@ func (k *Checker) Violations() []Violation {
 // New violations are recorded under the checker mutex but emitted to
 // sinks only after it is released: a sink (e.g. the flight recorder)
 // may respond by taking a full Snapshot, which reads the checker back.
+// A Violation is built only when a check newly fires, so a run where
+// nothing fires allocates nothing.
 func (k *Checker) run(c *Collector, src CreditSource) {
 	var fired []Violation
 	k.mu.Lock()
@@ -125,17 +136,21 @@ func (k *Checker) run(c *Collector, src CreditSource) {
 	// Theorem 3.2: the striped-byte discrepancy must stay inside the
 	// Max + 2·Quantum band.
 	disc, bound := c.Fairness()
-	k.check(&fired, "fairness", bound > 0 && disc > bound, Violation{
-		Check: "fairness", Channel: -1, Round: round, Value: disc - bound,
-		Detail: fmt.Sprintf("|K*Quantum - bytes| = %d > bound %d (Theorem 3.2)", disc, bound),
-	})
+	if k.fires(checkKey{"fairness", -1}, bound > 0 && disc > bound) {
+		k.record(&fired, Violation{
+			Check: "fairness", Channel: -1, Round: round, Value: disc - bound,
+			Detail: fmt.Sprintf("|K*Quantum - bytes| = %d > bound %d (Theorem 3.2)", disc, bound),
+		})
+	}
 
 	// Monotone rounds: G may stall but never regress.
 	regressed := k.roundSeen && round < k.lastRound
-	k.check(&fired, "round", regressed, Violation{
-		Check: "round", Channel: -1, Round: round, Value: int64(k.lastRound - round),
-		Detail: fmt.Sprintf("sender round regressed %d -> %d", k.lastRound, round),
-	})
+	if k.fires(checkKey{"round", -1}, regressed) {
+		k.record(&fired, Violation{
+			Check: "round", Channel: -1, Round: round, Value: int64(k.lastRound - round),
+			Detail: fmt.Sprintf("sender round regressed %d -> %d", k.lastRound, round),
+		})
+	}
 	if !regressed {
 		k.lastRound, k.roundSeen = round, true
 	}
@@ -145,15 +160,16 @@ func (k *Checker) run(c *Collector, src CreditSource) {
 	if src != nil {
 		for _, a := range src() {
 			debt := a.Granted - a.Consumed
-			name := fmt.Sprintf("credit/%d", a.Channel)
 			// A retired account is never in violation; evaluating it as
 			// healthy also clears any edge-trigger state from before the
 			// teardown.
-			k.check(&fired, name, !a.Retired && (debt < 0 || debt > a.Window), Violation{
-				Check: "credit", Channel: a.Channel, Round: round, Value: debt,
-				Detail: fmt.Sprintf("granted-consumed = %d-%d = %d outside [0, window %d]",
-					a.Granted, a.Consumed, debt, a.Window),
-			})
+			if k.fires(checkKey{"credit", a.Channel}, !a.Retired && (debt < 0 || debt > a.Window)) {
+				k.record(&fired, Violation{
+					Check: "credit", Channel: a.Channel, Round: round, Value: debt,
+					Detail: fmt.Sprintf("granted-consumed = %d-%d = %d outside [0, window %d]",
+						a.Granted, a.Consumed, debt, a.Window),
+				})
+			}
 		}
 	}
 
@@ -168,14 +184,24 @@ func (k *Checker) run(c *Collector, src CreditSource) {
 	}
 }
 
-// check applies edge-triggered violation recording for one named check.
+// fires applies the edge trigger for one check: it records whether the
+// check is broken now and reports whether it just entered that state.
 // Caller holds k.mu.
-func (k *Checker) check(fired *[]Violation, name string, broken bool, v Violation) {
-	was := k.inViol[name]
-	k.inViol[name] = broken
-	if !broken || was {
-		return
+func (k *Checker) fires(key checkKey, broken bool) bool {
+	if k.inViol[key] == broken {
+		return false
 	}
+	if broken {
+		k.inViol[key] = true
+	} else {
+		delete(k.inViol, key)
+	}
+	return broken
+}
+
+// record stores a newly fired violation and queues it for emission.
+// Caller holds k.mu.
+func (k *Checker) record(fired *[]Violation, v Violation) {
 	v.At = sinceEpoch()
 	k.count++
 	if cap(k.recent) == 0 {

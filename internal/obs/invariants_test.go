@@ -126,6 +126,36 @@ func TestCheckerCreditConservation(t *testing.T) {
 	}
 }
 
+// TestRunChecksQuietZeroAlloc pins that the checker costs no allocation
+// while nothing fires: RunChecks runs on every engine flush, and a
+// Violation (with its formatted detail) is built only when a check
+// newly enters a violated state.
+func TestRunChecksQuietZeroAlloc(t *testing.T) {
+	c := NewCollector(2)
+	c.SetChecker(NewChecker())
+	c.SetQuantum(0, 100)
+	c.SetQuantum(1, 100)
+	ledger := []CreditAccount{
+		{Channel: 0, Granted: 1000, Consumed: 400, Window: 1000},
+		{Channel: 1, Granted: 1000, Consumed: 900, Window: 1000},
+	}
+	c.SetCreditSource(func() []CreditAccount { return ledger })
+	round := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		round++
+		c.SetRound(round)
+		c.OnStriped(0, 100)
+		c.OnStriped(1, 100)
+		c.RunChecks()
+	})
+	if allocs != 0 {
+		t.Fatalf("quiet RunChecks allocates %.1f times, want 0", allocs)
+	}
+	if n := c.Checker().ViolationCount(); n != 0 {
+		t.Fatalf("healthy run violated %d times", n)
+	}
+}
+
 // TestCheckerCallbackAndEvents checks violations surface as
 // KindInvariantViolation events, through OnViolation, and in the
 // collector snapshot.

@@ -4,7 +4,9 @@
 // backing array) per call makes the garbage collector a bandwidth tax.
 // The pool recycles both together — a released packet keeps its payload
 // capacity, so a traffic mix with a stable size distribution reaches a
-// steady state where Get/Release allocate nothing at all.
+// steady state where Get/Release allocate nothing at all. A pool miss
+// costs one allocation: the packet and a pooledCap-byte payload
+// backing array are allocated as one object.
 //
 // Lifetime rules (see also the package stripe doc.go walkthrough):
 //
@@ -23,12 +25,29 @@ package packet
 
 import "sync"
 
+// pooledCap is the payload capacity every pooled packet starts with:
+// one MTU class, a 1500-byte Ethernet payload plus framing, so common
+// traffic never regrows a pooled payload.
+const pooledCap = 2048
+
+// pooled is what a pool miss allocates: the packet and its payload
+// backing array in one object, so a miss costs one allocation.
+type pooled struct {
+	p   Packet
+	buf [pooledCap]byte
+}
+
 // pool recycles packets together with their payload backing arrays.
-var pool = sync.Pool{New: func() any { return new(Packet) }}
+var pool = sync.Pool{New: func() any {
+	b := new(pooled)
+	b.p.Payload = b.buf[:0]
+	return &b.p
+}}
 
 // Get returns a zeroed packet from the pool. Its payload has length
-// zero but retains whatever capacity its previous life accumulated;
-// extend it with append or take a sized one with GetSized.
+// zero; a fresh one has pooledCap bytes of capacity, a recycled one
+// whatever capacity its previous life left. Extend it with append or
+// take a sized one with GetSized.
 func Get() *Packet {
 	return pool.Get().(*Packet)
 }
@@ -41,11 +60,7 @@ func Get() *Packet {
 func GetSized(n int) *Packet {
 	p := pool.Get().(*Packet)
 	p.Kind = Data
-	if cap(p.Payload) < n {
-		p.Payload = make([]byte, n)
-	} else {
-		p.Payload = p.Payload[:n]
-	}
+	p.Resize(n)
 	return p
 }
 
@@ -70,11 +85,13 @@ func (p *Packet) reset() {
 }
 
 // Resize sets the payload length to n, reusing the backing array when
-// its capacity allows. Contents are unspecified. This is how a batch
-// producer sizes packets taken with GetBatch.
+// its capacity allows. Contents are unspecified. A payload that must
+// grow gets at least pooledCap bytes of capacity, so a packet whose
+// payload once aliased a small buffer regrows once, not per size step.
+// This is how a batch producer sizes packets taken with GetBatch.
 func (p *Packet) Resize(n int) {
 	if cap(p.Payload) < n {
-		p.Payload = make([]byte, n)
+		p.Payload = make([]byte, n, max(n, pooledCap))
 	} else {
 		p.Payload = p.Payload[:n]
 	}

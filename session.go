@@ -213,10 +213,11 @@ func NewSession(channels []ChannelSender, cfg SessionConfig) (*Session, error) {
 		}
 		// Feed the invariant checker the gate's live credit ledgers. The
 		// checker runs from the striper's flush, which holds tx.mu, the
-		// lock that guards the gate, so the reads are consistent.
+		// lock that guards the gate, so the reads are consistent and
+		// one ledger slice can be refilled on every flush.
 		window := cfg.CreditWindow
+		accts := make([]obs.CreditAccount, n)
 		cfg.Collector.SetCreditSource(func() []obs.CreditAccount {
-			accts := make([]obs.CreditAccount, n)
 			for c := 0; c < n; c++ {
 				sent := gate.Sent(c)
 				accts[c] = obs.CreditAccount{
@@ -369,17 +370,19 @@ func (s *Session) sendBatchLocked(pkts []*packet.Packet) (int, error) {
 			stalled += time.Since(start)
 			continue
 		}
-		var cse *core.ChannelSendError
-		if errors.As(err, &cse) && s.evictAfter > 0 && s.tx.st.ActiveN() > 1 {
-			// The failed send was not accounted to the scheduler, so the
-			// retry targets the same channel until its streak trips the
-			// eviction threshold; after eviction it goes to a survivor.
-			if s.tx.st.ErrStreak(cse.Channel) >= s.evictAfter {
-				s.evictLocked(cse.Channel, s.tx.st.ErrStreak(cse.Channel))
-			}
-			continue
-		}
 		if err != nil {
+			// The target is declared only on the error path: errors.As
+			// makes it escape, which would cost an allocation per call.
+			var cse *core.ChannelSendError
+			if errors.As(err, &cse) && s.evictAfter > 0 && s.tx.st.ActiveN() > 1 {
+				// The failed send was not accounted to the scheduler, so the
+				// retry targets the same channel until its streak trips the
+				// eviction threshold; after eviction it goes to a survivor.
+				if s.tx.st.ErrStreak(cse.Channel) >= s.evictAfter {
+					s.evictLocked(cse.Channel, s.tx.st.ErrStreak(cse.Channel))
+				}
+				continue
+			}
 			s.col.AddCreditStall(stalled)
 			return done, err
 		}

@@ -244,3 +244,36 @@ func TestSessionValidation(t *testing.T) {
 		t.Error("mismatched quanta accepted")
 	}
 }
+
+// discardChannel accepts every packet and drops it.
+type discardChannel struct{}
+
+func (discardChannel) Send(*Packet) error { return nil }
+
+// TestSessionSendBatchZeroAlloc pins the session transmit loop's steady
+// state: a SendBatch that every channel accepts allocates nothing, so
+// the per-call cost is the striper's alone.
+func TestSessionSendBatchZeroAlloc(t *testing.T) {
+	cfg := SessionConfig{
+		Config:         Config{Quanta: UniformQuanta(2, 1500), Markers: MarkerPolicy{Every: NoMarkers}},
+		MarkerInterval: -1,
+	}
+	s, err := NewSession([]ChannelSender{discardChannel{}, discardChannel{}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pkts := make([]*Packet, 4)
+	for i := range pkts {
+		pkts[i] = Data(make([]byte, 100+300*i))
+	}
+	send := func() {
+		if n, err := s.SendBatch(pkts); err != nil || n != len(pkts) {
+			t.Fatalf("SendBatch = (%d, %v)", n, err)
+		}
+	}
+	send()
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Fatalf("SendBatch allocates %.1f times per call, want 0", allocs)
+	}
+}

@@ -20,8 +20,8 @@ type Packet = packet.Packet
 func Data(payload []byte) *Packet { return packet.NewData(payload) }
 
 // GetPacket returns a zeroed packet from the process-wide packet pool.
-// Its payload has length zero but keeps the capacity of its previous
-// life; see GetPacketSized for a sized one. Hand packets back with
+// Its payload has length zero and keeps the capacity of its previous
+// life (2 KiB for a fresh one); see GetPacketSized for a sized one. Hand packets back with
 // Packet.Release once done (optional — unreleased packets are ordinary
 // garbage), and never Release a packet whose payload aliases memory you
 // keep (such as one built with Data).
@@ -371,7 +371,9 @@ func newReceiver(cfg Config, rcfg core.ResequencerConfig) (*Receiver, error) {
 }
 
 // Arrive hands the receiver a packet physically received on channel c
-// (data, marker, or any other kind read off the channel).
+// (data, marker, or any other kind read off the channel). The receiver
+// takes ownership of control packets and releases them to the packet
+// pool once consumed, so the caller must not touch p afterwards.
 func (r *Receiver) Arrive(c int, p *Packet) {
 	r.mu.Lock()
 	if r.sess != nil {

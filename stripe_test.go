@@ -4,23 +4,45 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// pumpSet is the goroutines startPumps runs, with a count of the
+// packets each has handed to the receiver.
+type pumpSet struct {
+	sync.WaitGroup
+	chans   []*LocalChannel
+	arrived []atomic.Int64
+}
+
 // startPumps wires each channel's output into the receiver.
-func startPumps(chans []*LocalChannel, rx *Receiver) *sync.WaitGroup {
-	var wg sync.WaitGroup
+func startPumps(chans []*LocalChannel, rx *Receiver) *pumpSet {
+	ps := &pumpSet{chans: chans, arrived: make([]atomic.Int64, len(chans))}
 	for i, ch := range chans {
-		wg.Add(1)
+		ps.Add(1)
 		go func(i int, ch *LocalChannel) {
-			defer wg.Done()
+			defer ps.Done()
 			for p := range ch.Out() {
 				rx.Arrive(i, p)
+				ps.arrived[i].Add(1)
 			}
 		}(i, ch)
 	}
-	return &wg
+	return ps
+}
+
+// idle reports whether every packet sent so far has been lost in its
+// channel or handed to the receiver.
+func (ps *pumpSet) idle() bool {
+	for i, ch := range ps.chans {
+		st := ch.live.Stats()
+		if st.Sent != st.Lost+st.Corrupted+ps.arrived[i].Load() {
+			return false
+		}
+	}
+	return true
 }
 
 // TestEndToEndFIFO drives the public API over four skewed in-process
@@ -120,18 +142,23 @@ func TestLossyChannelsQuasiFIFO(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Give the pipeline a moment, then drain.
+	// Wait for the channels to go idle, then drain. Draining earlier can
+	// stop on a momentarily empty resequencer while packets are still in
+	// flight.
 	deadline := time.Now().Add(5 * time.Second)
-	var got []*Packet
-	for time.Now().Before(deadline) {
-		if p, ok := rx.TryRecv(); ok {
-			got = append(got, p)
-			continue
-		}
-		if rx.Buffered() == 0 && len(got) > n*6/10 {
-			break
+	for !pumps.idle() {
+		if time.Now().After(deadline) {
+			t.Fatal("channels still busy after 5s")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	var got []*Packet
+	for {
+		p, ok := rx.TryRecv()
+		if !ok {
+			break
+		}
+		got = append(got, p)
 	}
 	got = append(got, rx.Drain()...)
 	frac := float64(len(got)) / n
