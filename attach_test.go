@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"stripe/internal/packet"
 )
 
 // settledGoroutines polls until the goroutine count falls to at most
@@ -221,5 +223,33 @@ func TestLocalChannelReadPacketReadyNoAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("ReadPacket with a packet ready allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestLocalChannelKeepsControlCopy pins the control-packet ownership
+// rule for LocalChannel: Send only borrows a control packet, which the
+// emitter releases once Send returns, so what ReadPacket later returns
+// must be the channel's own copy.
+func TestLocalChannelKeepsControlCopy(t *testing.T) {
+	ch := NewLocalChannel(LocalChannelConfig{Delay: 5 * time.Millisecond})
+	defer ch.Close()
+	want := packet.MarkerBlock{Channel: 3, Round: 9, Deficit: -40, Credits: 1 << 16, Sent: 12345}
+	p := packet.NewMarker(want)
+	if err := ch.Send(p); err != nil {
+		t.Fatal(err)
+	}
+	p.Release()
+	for i := 0; i < 8; i++ { // reuse whatever the pool hands out
+		q := GetPacketSized(packet.MarkerWireLen)
+		for j := range q.Payload {
+			q.Payload[j] = 0xA5
+		}
+	}
+	got, err := ch.ReadPacket(5 * time.Second)
+	if err != nil || got == nil {
+		t.Fatalf("ReadPacket = %v, %v", got, err)
+	}
+	if m, err := packet.MarkerOf(got); err != nil || m != want {
+		t.Fatalf("delivered marker = %+v, %v; want %+v: the channel kept the sender's released packet", m, err, want)
 	}
 }

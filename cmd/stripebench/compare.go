@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"stripe/internal/harness"
@@ -15,11 +16,19 @@ import (
 // allocation or lock shows up as 2-10x, not 1.15x).
 const regressionThreshold = 0.15
 
+// allocFreeBar is the allocs/op level below which a row counts as
+// allocation-free: a per-op mean under half an allocation is amortized
+// background (a pool refill, a rare control packet), while one at or
+// above it means some op allocates. Crossing it from below is a
+// regression whatever the relative change, which also covers rows
+// whose baseline is exactly zero.
+const allocFreeBar = 0.5
+
 // regression is one benchmark metric that moved past the threshold in
 // the wrong direction between two -json records.
 type regression struct {
 	Name   string  // benchmark name
-	Metric string  // "ns/op" or "MB/s"
+	Metric string  // "ns/op", "MB/s" or "allocs/op"
 	Old    float64 // baseline value
 	New    float64 // current value
 	Delta  float64 // fractional change, positive = worse
@@ -27,7 +36,8 @@ type regression struct {
 
 // comparePerf diffs the benchmark sets of two -json records. Benchmarks
 // present on only one side are ignored (suites evolve); a metric whose
-// baseline is zero cannot be compared and is skipped.
+// baseline is zero cannot be compared and is skipped, except allocs/op,
+// where leaving the allocation-free range (allocFreeBar) regresses.
 func comparePerf(old, cur jsonRecord, threshold float64) []regression {
 	base := make(map[string]harness.PerfBench, len(old.Perf.Benches))
 	for _, b := range old.Perf.Benches {
@@ -49,6 +59,18 @@ func comparePerf(old, cur jsonRecord, threshold float64) []regression {
 		if o.MBPerS > 0 && b.MBPerS > 0 {
 			if d := (o.MBPerS - b.MBPerS) / o.MBPerS; d > threshold {
 				regs = append(regs, regression{b.Name, "MB/s", o.MBPerS, b.MBPerS, d})
+			}
+		}
+		// allocs/op: higher is worse.
+		if o.AllocsPerOp < allocFreeBar && b.AllocsPerOp >= allocFreeBar {
+			d := math.Inf(1)
+			if o.AllocsPerOp > 0 {
+				d = (b.AllocsPerOp - o.AllocsPerOp) / o.AllocsPerOp
+			}
+			regs = append(regs, regression{b.Name, "allocs/op", o.AllocsPerOp, b.AllocsPerOp, d})
+		} else if o.AllocsPerOp > 0 {
+			if d := (b.AllocsPerOp - o.AllocsPerOp) / o.AllocsPerOp; d > threshold {
+				regs = append(regs, regression{b.Name, "allocs/op", o.AllocsPerOp, b.AllocsPerOp, d})
 			}
 		}
 	}

@@ -48,6 +48,48 @@ func TestComparePerf(t *testing.T) {
 		}
 	})
 
+	t.Run("allocs leave the allocation-free range", func(t *testing.T) {
+		base := record(
+			harness.PerfBench{Name: "zero", NsPerOp: 100},
+			harness.PerfBench{Name: "amortized", NsPerOp: 100, AllocsPerOp: 0.2},
+		)
+		for _, tc := range []struct {
+			name   string
+			allocs float64
+			regs   int
+		}{
+			{"zero", 0.4, 0},      // still below the bar
+			{"zero", 0.5, 1},      // reaches it from a zero baseline
+			{"zero", 3, 1},        // an allocating op
+			{"amortized", 0.2, 0}, // unchanged
+			{"amortized", 0.6, 1}, // crosses the bar
+		} {
+			cur := record(harness.PerfBench{Name: tc.name, NsPerOp: 100, AllocsPerOp: tc.allocs})
+			regs := comparePerf(base, cur, 0.15)
+			if len(regs) != tc.regs || (tc.regs == 1 && regs[0].Metric != "allocs/op") {
+				t.Errorf("%s at %.1f allocs/op: want %d allocs/op regression(s), got %+v", tc.name, tc.allocs, tc.regs, regs)
+			}
+		}
+	})
+
+	t.Run("allocs regression", func(t *testing.T) {
+		base := record(harness.PerfBench{Name: "alloc", NsPerOp: 100, AllocsPerOp: 4})
+		for _, tc := range []struct {
+			allocs float64
+			regs   int
+		}{
+			{4.5, 0}, // +12.5%: within the threshold
+			{5, 1},   // +25%
+			{2, 0},   // fewer allocations are an improvement
+		} {
+			cur := record(harness.PerfBench{Name: "alloc", NsPerOp: 100, AllocsPerOp: tc.allocs})
+			regs := comparePerf(base, cur, 0.15)
+			if len(regs) != tc.regs || (tc.regs == 1 && regs[0].Metric != "allocs/op") {
+				t.Errorf("4 -> %.1f allocs/op: want %d allocs/op regression(s), got %+v", tc.allocs, tc.regs, regs)
+			}
+		}
+	})
+
 	t.Run("zero baseline skipped", func(t *testing.T) {
 		// "retired" has no MB/s baseline; a new MB/s value must not
 		// divide by zero or fabricate a regression.

@@ -10,7 +10,8 @@
 //	stripebench -json            # machine-readable perf record on stdout
 //	stripebench -compare old.json new.json
 //	                             # diff two -json records, exit 1 on a
-//	                             # >15% ns/op or MB/s regression
+//	                             # >15% ns/op, MB/s or allocs/op regression
+//	                             # or an allocs/op row reaching 0.5
 //
 // -json runs the hot-path perf suite (ns/op, MB/s, lifecycle latency
 // quantiles) and emits one JSON document, plus the structured tables of
@@ -38,7 +39,7 @@ func main() {
 		quick   = flag.Bool("quick", false, "reduced-scale runs")
 		seed    = flag.Int64("seed", 1, "experiment seed")
 		jsonOut = flag.Bool("json", false, "emit a machine-readable JSON perf record instead of tables")
-		compare = flag.Bool("compare", false, "compare two -json records (old.json new.json) and exit non-zero on a >15% regression")
+		compare = flag.Bool("compare", false, "compare two -json records (old.json new.json) and exit non-zero on a >15% regression or an allocs/op row reaching 0.5")
 	)
 	flag.Parse()
 

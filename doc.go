@@ -34,7 +34,8 @@
 // lock is taken once per batch, the scheduler is consulted once per
 // service run, and TCP channels flush once per batch. The single-packet Send and Recv
 // are batches of one, so the two styles mix freely. The pool makes the
-// steady state allocation-free, markers included; its lifetime rules:
+// steady state allocation-free, control packets included, in process
+// and over sockets; its lifetime rules:
 //
 //   - GetPacket/GetPacketSized hand you exclusive ownership of a pooled
 //     packet and its payload backing array. A pooled packet carries
@@ -45,11 +46,16 @@
 //     packet before Send returns, so it is yours again and you may
 //     Release it at once; over in-process channels (LocalChannel) it
 //     travels as is, and the receiving side owns it.
-//   - Arrive takes ownership of every control packet it is handed
-//     (markers, credits, membership, telemetry, unknown kinds) and
-//     releases it to the pool once consumed or dropped; resets are the
-//     exception, since one reset payload is shared by a whole broadcast.
-//     Read whatever you need from a packet before passing it to Arrive.
+//   - Control packets (markers, credits, membership, telemetry, resets)
+//     have one rule per direction: Send borrows, Arrive owns. The
+//     sender draws each from the pool and releases it as soon as the
+//     channel's Send returns, so a ChannelSender that holds packets
+//     past Send (a queue, a delay line, a test fake that records what
+//     it saw) must keep p.Keep() — a pooled copy of a control packet —
+//     never p itself. Arrive takes ownership of every control packet it
+//     is handed, unknown kinds included, and releases it to the pool
+//     once consumed or dropped. Read whatever you need from a packet
+//     before passing it to Arrive. Data packets follow the rules above.
 //   - Packets returned by Recv/RecvBatch are yours. Once the payload is
 //     consumed, hand each back with Packet.Release — after Release,
 //     neither the packet nor any slice of its payload may be touched,

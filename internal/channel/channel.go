@@ -33,6 +33,12 @@ type Sender interface {
 	// drop or corrupt the packet; that is not an error (the sender of a
 	// lossy link does not learn of loss). An error means the channel can
 	// accept no more traffic (closed or buffer-limited).
+	//
+	// Send only borrows a control packet (Kind != Data): its emitter
+	// releases it as soon as Send returns, whatever the outcome, so a
+	// channel that holds packets past the call keeps p.Keep(), a pooled
+	// copy, never p itself. A data packet is handed over. On the far
+	// side the receiver owns every control packet it is given.
 	Send(p *packet.Packet) error
 }
 
@@ -218,23 +224,25 @@ func (q *Queue) Send(p *packet.Packet) error {
 		q.stats.Overflowed++
 		return nil
 	}
-	q.buf = append(q.buf, p)
+	q.buf = append(q.buf, p.Keep())
 	q.bytes += int64(p.Len())
 	return nil
 }
 
 // SendBatch implements BatchSender. A perfect unbounded queue (the
-// benchmark and happy-path test configuration) takes a bulk append —
-// one stats update and one copy for the whole batch; anything with an
+// benchmark and happy-path test configuration) takes a bulk path —
+// one stats update for the whole batch; anything with an
 // error process or a capacity bound goes through Send per packet so
 // the impairment state machines observe every packet in order.
 func (q *Queue) SendBatch(pkts []*packet.Packet) (int, error) {
 	if q.open && q.cap == 0 && q.capBytes == 0 && q.imp.perfect() {
-		var by int64
-		for _, p := range pkts {
-			by += int64(p.Len())
-		}
+		base := len(q.buf)
 		q.buf = append(q.buf, pkts...)
+		var by int64
+		for i, p := range pkts {
+			by += int64(p.Len())
+			q.buf[base+i] = p.Keep()
+		}
 		q.bytes += by
 		q.stats.Sent += int64(len(pkts))
 		q.stats.SentBytes += by

@@ -274,3 +274,74 @@ func TestLiveChannelRate(t *testing.T) {
 		t.Fatalf("10 kB at 1 Mb/s took only %v", elapsed)
 	}
 }
+
+// keepMarker is the block the non-retention tests send.
+var keepMarker = packet.MarkerBlock{Channel: 1, Round: 7, Deficit: -3, Credits: 11, Sent: 4096, TxNs: 99}
+
+// scribble takes packets from the pool and overwrites them, so a
+// channel still holding a released packet would now hold garbage.
+func scribble() {
+	for i := 0; i < 8; i++ {
+		p := packet.Get()
+		p.Resize(packet.MarkerWireLen)
+		for j := range p.Payload {
+			p.Payload[j] = 0xA5
+		}
+	}
+}
+
+// checkKeptMarker fails unless got is an intact copy of keepMarker.
+func checkKeptMarker(t *testing.T, got *packet.Packet) {
+	t.Helper()
+	if got == nil {
+		t.Fatal("marker not delivered")
+	}
+	m, err := packet.MarkerOf(got)
+	if err != nil || m != keepMarker {
+		t.Fatalf("delivered marker = %+v, %v; want %+v: the channel kept the sender's released packet", m, err, keepMarker)
+	}
+}
+
+// TestQueueKeepsControlCopy pins the control-packet ownership rule for
+// Queue: Send and SendBatch only borrow a control packet, which the
+// emitter releases once the call returns, so the queue must hold its
+// own copy.
+func TestQueueKeepsControlCopy(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		q := NewQueue(Impairments{})
+		p := packet.NewMarker(keepMarker)
+		var err error
+		if batch {
+			_, err = q.SendBatch([]*packet.Packet{packet.NewDataSized(10), p})
+			q.Recv()
+		} else {
+			err = q.Send(p)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release()
+		scribble()
+		got, _ := q.Recv()
+		checkKeptMarker(t, got)
+	}
+}
+
+// TestLiveKeepsControlCopy is TestQueueKeepsControlCopy for Live (and
+// so LocalChannel), whose pump delivers long after Send returns.
+func TestLiveKeepsControlCopy(t *testing.T) {
+	l := NewLive(LiveConfig{Delay: 5 * time.Millisecond})
+	defer l.Close()
+	p := packet.NewMarker(keepMarker)
+	if err := l.Send(p); err != nil {
+		t.Fatal(err)
+	}
+	p.Release()
+	scribble()
+	select {
+	case got := <-l.Out():
+		checkKeptMarker(t, got)
+	case <-time.After(5 * time.Second):
+		t.Fatal("marker not delivered")
+	}
+}

@@ -123,6 +123,9 @@ func (l *Live) pump() {
 				}
 				l.mu.Unlock()
 				l.cfg.Obs.OnChannelLost(l.cfg.Index)
+				if p.Kind != packet.Data {
+					p.Release() // the channel's own copy (see Send)
+				}
 				continue
 			}
 			release := txFree.Add(l.cfg.Delay)
@@ -197,7 +200,8 @@ func (l *Live) deliverLoop(mid <-chan timedPacket) {
 }
 
 // Send implements Sender. It blocks when the transmit queue is full,
-// which gives the examples natural backpressure.
+// which gives the examples natural backpressure. A control packet is
+// queued as a pooled copy, since Send only borrows it.
 func (l *Live) Send(p *packet.Packet) error {
 	select {
 	case <-l.stop:
@@ -209,7 +213,7 @@ func (l *Live) Send(p *packet.Packet) error {
 	l.stats.SentBytes += int64(p.Len())
 	l.mu.Unlock()
 	select {
-	case l.in <- p:
+	case l.in <- p.Keep():
 		return nil
 	case <-l.stop:
 		return ErrClosed

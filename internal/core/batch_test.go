@@ -183,3 +183,54 @@ func testBatchedPathZeroAlloc(t *testing.T, markers MarkerPolicy) {
 		t.Fatal("no markers were sent")
 	}
 }
+
+// discardSender accepts every packet and keeps none.
+type discardSender struct{}
+
+func (discardSender) Send(*packet.Packet) error { return nil }
+
+// TestControlEmissionZeroAlloc pins the sender-owned control plane: a
+// marker batch, a telemetry report and a reset are each drawn from the
+// packet pool and released once the channel's Send returns, so cutting
+// them allocates nothing in steady state.
+func TestControlEmissionZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("control packets cycle through sync.Pool, which drops Puts under -race")
+	}
+	const nch = 4
+	quanta := sched.UniformQuanta(nch, 1500)
+	senders := make([]channel.Sender, nch)
+	for c := range senders {
+		senders[c] = discardSender{}
+	}
+	st := mustStriper(t, StriperConfig{
+		Sched:         sched.MustSRR(quanta),
+		Channels:      senders,
+		Markers:       MarkerPolicy{Every: 4},
+		MarkerCredits: func(c int) uint64 { return uint64(c) << 20 },
+	})
+	rs := mustReseq(t, ResequencerConfig{Sched: sched.MustSRR(quanta), Mode: ModeLogical})
+	for _, tc := range []struct {
+		name string
+		emit func() error
+	}{
+		{"EmitMarkers", func() error { st.EmitMarkers(); return nil }},
+		{"SendTelemetry", func() error { return st.SendTelemetry(rs.TelemetryBlock()) }},
+		{"Reset", st.Reset},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			emit := func() {
+				if err := tc.emit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			emit()
+			if allocs := testing.AllocsPerRun(100, emit); allocs != 0 {
+				t.Fatalf("%s allocates %.1f times per call, want 0", tc.name, allocs)
+			}
+		})
+	}
+	if st.SentMarkers() == 0 {
+		t.Fatal("no markers were sent")
+	}
+}

@@ -186,7 +186,7 @@ func (st *Striper) RemoveChannel(c int) error {
 	// Best-effort delimiter on the departing channel; it may already be
 	// dead, which is fine — the survivors' announcements carry the same
 	// (sequenced, full-bitmap) truth.
-	_ = st.out[c].Send(packet.NewMember(st.lastAnnounce))
+	_ = st.sendControl(c, packet.NewMember(st.lastAnnounce))
 	st.errStreak[c] = 0
 	st.announceLeft = memberAnnounceBatches
 	st.broadcastMember()
@@ -244,6 +244,14 @@ func (st *Striper) AddChannel(c int, tx channel.Sender) (uint64, error) {
 	st.memberSeq++
 	st.lastAnnounce = st.memberBlock(packet.MemberJoin, c, join)
 	st.announceLeft = memberAnnounceBatches
+	// Rebase the slot's fairness baseline to the join before announcing
+	// it. A duplex peer mirrors the join back, and the receive half's
+	// join hook reactivates the slot on a collector both directions
+	// share, so an announcement that overtook the rebase would let the
+	// Theorem 3.2 check measure the slot from its old baseline. The
+	// flush first makes the baseline's byte position exact.
+	st.SyncObs()
+	st.obs.RebaseFairness(c, join)
 	st.broadcastMember()
 	// Cut markers immediately: the survivors' positions resynchronize the
 	// receiver and reconcile credits without waiting out the marker
@@ -297,7 +305,7 @@ func (st *Striper) ProbeChannel(c int) error {
 	if st.active[c] {
 		st.lastAnnounce = mb
 	}
-	err := st.out[c].Send(packet.NewMember(mb))
+	err := st.sendControl(c, packet.NewMember(mb))
 	if err != nil {
 		st.errStreak[c]++
 	} else {
@@ -325,14 +333,12 @@ func (st *Striper) memberBlock(op packet.MemberOp, target int, round uint64) pac
 }
 
 // broadcastMember sends the latest announcement on every live channel.
-//
-//stripe:allowescape membership announcements allocate member packets; control-plane work on transitions and marker cadence only
 func (st *Striper) broadcastMember() {
 	for c := range st.out {
 		if !st.active[c] {
 			continue
 		}
-		if err := st.out[c].Send(packet.NewMember(st.lastAnnounce)); err != nil {
+		if err := st.sendControl(c, packet.NewMember(st.lastAnnounce)); err != nil {
 			st.errStreak[c]++
 		} else {
 			st.errStreak[c] = 0

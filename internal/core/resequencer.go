@@ -173,13 +173,15 @@ type Resequencer struct {
 	// marker's Sent position minus arrivedOn — exact cumulative loss,
 	// because channels are FIFO; markerTxNs/markerRxNs hold the latest
 	// stamped marker's (sender tx, receiver rx) clock pair, one one-way
-	// delay sample.
+	// delay sample. telemetryBuf is the per-channel section every
+	// TelemetryBlock report is cut into.
 	resyncsOn    []int64
 	peerLost     []int64
 	markerTxNs   []int64
 	markerRxNs   []int64
 	now          func() int64
 	telemetrySeq uint64
+	telemetryBuf []packet.TelemetryChannel
 	onTelemetry  func(packet.TelemetryBlock)
 
 	// Memory bound state.
@@ -286,6 +288,7 @@ func NewResequencer(cfg ResequencerConfig) (*Resequencer, error) {
 		peerLost:     make([]int64, n),
 		markerTxNs:   make([]int64, n),
 		markerRxNs:   make([]int64, n),
+		telemetryBuf: make([]packet.TelemetryChannel, n),
 		now:          cfg.Now,
 		onTelemetry:  cfg.OnTelemetry,
 	}
@@ -342,8 +345,10 @@ func (r *Resequencer) Buffered() int {
 }
 
 // Arrive accepts a packet physically received on channel c. Packets are
-// buffered; ordering decisions happen in Next. Arrive owns the control
-// packets it is handed: see release.
+// buffered; ordering decisions happen in Next. Arrive owns every control
+// packet it is handed, resets included, and releases it to the pool
+// once consumed or dropped (see release); data belongs to whoever
+// receives it from Next.
 //
 //stripe:hotpath
 func (r *Resequencer) Arrive(c int, p *packet.Packet) {
@@ -376,8 +381,8 @@ func (r *Resequencer) arrive(c int, p *packet.Packet) {
 		} else {
 			r.stats.OldEpochDrops++
 			r.obs.OnOldEpochDrops(1)
-			release(p)
 		}
+		release(p)
 		return
 	}
 	if p.Kind == packet.Member {
@@ -564,12 +569,9 @@ func (r *Resequencer) consumeMarker(c int, p *packet.Packet) (packet.MarkerBlock
 
 // release is the one place the receiver gives up the control packets
 // Arrive owns: each goes back to the pool once consumed or dropped.
-// Data belongs to whoever receives it, and resets are kept out because
-// Striper.Reset shares one payload across its broadcast.
-//
-//stripe:allowescape one pool put per consumed control packet, at marker cadence
+// Data belongs to whoever receives it.
 func release(p *packet.Packet) {
-	if p.Kind != packet.Data && p.Kind != packet.Reset {
+	if p.Kind != packet.Data {
 		p.Release()
 	}
 }
@@ -1113,6 +1115,7 @@ scan:
 //stripe:allowescape reset path: runs once per crash-recovery epoch change, and flushing buffers and restoring scheduler state may allocate
 func (r *Resequencer) applyReset(c int, p *packet.Packet) {
 	e := resetEpoch(p)
+	release(p)
 	if e <= r.epoch {
 		return // duplicate or stale reset
 	}
@@ -1150,6 +1153,7 @@ func (r *Resequencer) applyReset(c int, p *packet.Packet) {
 			}
 			if q.Kind == packet.Reset && resetEpoch(q) == e {
 				r.passed[i] = true
+				release(q)
 				break
 			}
 			r.stats.OldEpochDrops++

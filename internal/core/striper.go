@@ -314,12 +314,9 @@ func (st *Striper) EmitMarkers() {
 // granted, so the pre-quantum convention subtracts it back; the
 // receiver's marker handling applies the mirror-image adjustment.
 //
-// Each marker is drawn from the packet pool and encoded into its
-// recycled payload. Over in-process channels the receiving resequencer
-// releases it once consumed; a socket transport serializes it, and the
-// far resequencer releases the decoded copy instead.
-//
-//stripe:allowescape marker batch: control-plane work amortized over a marker interval (policy.Every rounds); a pool miss allocates one packet per marker
+// Each marker is drawn from the packet pool, encoded into its recycled
+// payload, and released once the channel's Send returns (see
+// sendControl), so a steady marker cadence allocates nothing.
 func (st *Striper) emitBatch() {
 	// One delay sample per few marker batches is all the peer's 8-deep
 	// min-filter needs, and a clock read per marker is real money at
@@ -357,10 +354,7 @@ func (st *Striper) emitBatch() {
 			mb.Credits = st.markerCredits(c)
 		}
 		mb.TxNs = txNs
-		p := packet.Get()
-		p.Kind = packet.Marker
-		p.Payload = mb.Encode(p.Payload[:0])
-		if err := st.out[c].Send(p); err == nil {
+		if err := st.sendControl(c, packet.NewMarker(mb)); err == nil {
 			st.sentMarkers++
 			st.errStreak[c] = 0
 			st.obs.OnMarkerEmitted(c)
@@ -375,6 +369,19 @@ func (st *Striper) emitBatch() {
 		st.announceLeft--
 		st.broadcastMember()
 	}
+}
+
+// sendControl hands the control packet p, which the striper owns, to
+// channel c and releases it once Send returns — on success, error or a
+// silent drop alike. Send only borrows control packets; a channel that
+// holds one past the call keeps its own pooled copy (channel.Sender).
+// Releasing after the outermost Send is what makes this safe through
+// any wrapper: one that inspects p after its inner Send still finds it
+// intact.
+func (st *Striper) sendControl(c int, p *packet.Packet) error {
+	err := st.out[c].Send(p)
+	p.Release()
+	return err
 }
 
 // SyncObs publishes the striper's counters, the round gauge, and the
@@ -598,19 +605,14 @@ func (st *Striper) sendRun(pkts []*packet.Packet) (int, error) {
 // from older epochs still in flight.
 func (st *Striper) Reset() error {
 	st.epoch++
-	// Encode the epoch once and share the payload across the broadcast:
-	// reset packets are read-only once handed to a channel, so the
-	// per-channel copies the old byte-by-byte encoding made bought
-	// nothing.
-	pl := make([]byte, 8)
-	binary.BigEndian.PutUint64(pl, st.epoch)
 	var firstErr error
 	for c := range st.out {
 		if !st.active[c] {
 			continue
 		}
-		p := &packet.Packet{Kind: packet.Reset, Payload: pl}
-		if err := st.out[c].Send(p); err != nil && firstErr == nil {
+		p := packet.Control(packet.Reset)
+		p.Payload = binary.BigEndian.AppendUint64(p.Payload, st.epoch)
+		if err := st.sendControl(c, p); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

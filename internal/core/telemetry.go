@@ -62,7 +62,11 @@ func (r *Resequencer) consumeTelemetry(p *packet.Packet) {
 // report sequence number; all content is cumulative, so losing a
 // report costs nothing but staleness.
 //
-//stripe:allowescape control-cadence only (one report per marker interval), and the report's channel slice allocates
+// The block's Channels slice is the resequencer's own and is
+// overwritten by the next call: encode or copy the report before
+// cutting another.
+//
+//stripe:hotpath
 func (r *Resequencer) TelemetryBlock() packet.TelemetryBlock {
 	r.telemetrySeq++
 	t := packet.TelemetryBlock{
@@ -70,7 +74,7 @@ func (r *Resequencer) TelemetryBlock() packet.TelemetryBlock {
 		AtNs:        r.now(),
 		Buffered:    int64(r.Buffered()),
 		MaxBuffered: int64(r.maxBuffered),
-		Channels:    make([]packet.TelemetryChannel, r.n),
+		Channels:    r.telemetryBuf,
 	}
 	for c := 0; c < r.n; c++ {
 		t.Channels[c] = packet.TelemetryChannel{
@@ -91,9 +95,10 @@ func (r *Resequencer) TelemetryBlock() packet.TelemetryBlock {
 // traffic: like markers it bypasses the scheduler and the flow-control
 // gate, and like probes a transport error feeds the channel's error
 // streak. Reports are cumulative and sequenced, so a lost one is
-// simply superseded by the next.
+// simply superseded by the next. The report is encoded into a pooled
+// packet that is released once the channel's Send returns.
 //
-//stripe:allowescape control-cadence only (one packet per marker interval), and the telemetry packet must allocate
+//stripe:hotpath
 func (st *Striper) SendTelemetry(t packet.TelemetryBlock) error {
 	n := len(st.out)
 	if st.activeN == 0 || n == 0 {
@@ -105,7 +110,7 @@ func (st *Striper) SendTelemetry(t packet.TelemetryBlock) error {
 		if !st.active[c] {
 			continue
 		}
-		err := st.out[c].Send(packet.NewTelemetry(t))
+		err := st.sendControl(c, packet.NewTelemetry(t))
 		if err != nil {
 			st.errStreak[c]++
 		} else {

@@ -37,7 +37,7 @@ func (l *peerSkewLine) Send(p *packet.Packet) error {
 	if p.Kind == packet.Data && l.loss > 0 && l.rng.Float64() < l.loss {
 		return nil // dropped without a trace: the sender sees success
 	}
-	l.q = append(l.q, peerSkewArrival{at: *l.now + l.delayNs, p: p})
+	l.q = append(l.q, peerSkewArrival{at: *l.now + l.delayNs, p: p.Keep()})
 	return nil
 }
 

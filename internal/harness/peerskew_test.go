@@ -1,6 +1,10 @@
 package harness
 
-import "testing"
+import (
+	"testing"
+
+	"stripe/internal/packet"
+)
 
 // TestPeerSkewTelemetry pins the acceptance criteria of the peer
 // telemetry plane on the deterministic virtual-clock scenario: the
@@ -44,5 +48,34 @@ func TestPeerSkewTelemetry(t *testing.T) {
 	}
 	if o.delivered == 0 {
 		t.Error("scenario delivered nothing")
+	}
+}
+
+// TestPeerSkewLineKeepsControlCopy pins the control-packet ownership
+// rule for the delay line: Send only borrows a control packet, which
+// the striper releases once Send returns, so the queued arrival must be
+// the line's own copy.
+func TestPeerSkewLineKeepsControlCopy(t *testing.T) {
+	var now int64
+	l := &peerSkewLine{now: &now, delayNs: 10}
+	want := packet.MarkerBlock{Channel: 0, Round: 3, Deficit: 12, Sent: 900, TxNs: 5}
+	p := packet.NewMarker(want)
+	if err := l.Send(p); err != nil {
+		t.Fatal(err)
+	}
+	p.Release()
+	for i := 0; i < 8; i++ { // reuse whatever the pool hands out
+		q := packet.Get()
+		q.Resize(packet.MarkerWireLen)
+		for j := range q.Payload {
+			q.Payload[j] = 0xA5
+		}
+	}
+	got := l.pop(10)
+	if got == nil {
+		t.Fatal("marker not delivered")
+	}
+	if m, err := packet.MarkerOf(got); err != nil || m != want {
+		t.Fatalf("delivered marker = %+v, %v; want %+v: the line kept the striper's released packet", m, err, want)
 	}
 }

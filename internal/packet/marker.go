@@ -98,9 +98,7 @@ func ctrlCRC(b []byte) uint32 { return crc32.Checksum(b, ctrlTable) }
 // Encode appends the wire representation of the block to dst and returns
 // the extended slice.
 func (m *MarkerBlock) Encode(dst []byte) []byte {
-	off := len(dst)
-	dst = append(dst, make([]byte, MarkerWireLen)...)
-	b := dst[off:]
+	dst, b := extend(dst, MarkerWireLen)
 	copy(b[0:4], markerMagic)
 	binary.BigEndian.PutUint32(b[4:8], m.Channel)
 	binary.BigEndian.PutUint64(b[8:16], m.Round)
@@ -135,9 +133,12 @@ func DecodeMarker(b []byte) (MarkerBlock, error) {
 	return m, nil
 }
 
-// NewMarker builds a marker packet carrying the block.
+// NewMarker returns a pooled marker packet carrying the block (see
+// Control for its ownership).
 func NewMarker(m MarkerBlock) *Packet {
-	return &Packet{Kind: Marker, Payload: m.Encode(nil)}
+	p := Control(Marker)
+	p.Payload = m.Encode(p.Payload)
+	return p
 }
 
 // MarkerOf extracts the marker block from a marker packet.
@@ -170,9 +171,7 @@ const (
 
 // Encode appends the wire representation of the block to dst.
 func (c *CreditBlock) Encode(dst []byte) []byte {
-	off := len(dst)
-	dst = append(dst, make([]byte, CreditWireLen)...)
-	b := dst[off:]
+	dst, b := extend(dst, CreditWireLen)
 	copy(b[0:4], creditMagic)
 	binary.BigEndian.PutUint32(b[4:8], c.Channel)
 	binary.BigEndian.PutUint64(b[8:16], c.Grant)
@@ -197,9 +196,12 @@ func DecodeCredit(b []byte) (CreditBlock, error) {
 	return c, nil
 }
 
-// NewCredit builds a credit packet carrying the block.
+// NewCredit returns a pooled credit packet carrying the block (see
+// Control for its ownership).
 func NewCredit(c CreditBlock) *Packet {
-	return &Packet{Kind: Credit, Payload: c.Encode(nil)}
+	p := Control(Credit)
+	p.Payload = c.Encode(p.Payload)
+	return p
 }
 
 // CreditOf extracts the credit block from a credit packet.

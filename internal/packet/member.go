@@ -99,9 +99,7 @@ const (
 // Encode appends the wire representation of the block to dst and
 // returns the extended slice.
 func (m *MemberBlock) Encode(dst []byte) []byte {
-	off := len(dst)
-	dst = append(dst, make([]byte, MemberWireLen)...)
-	b := dst[off:]
+	dst, b := extend(dst, MemberWireLen)
 	copy(b[0:4], memberMagic)
 	binary.BigEndian.PutUint64(b[4:12], m.Seq)
 	b[12] = byte(m.Op) // MemberOp is uint8-valued by construction
@@ -134,9 +132,12 @@ func DecodeMember(b []byte) (MemberBlock, error) {
 	return m, nil
 }
 
-// NewMember builds a member packet carrying the block.
+// NewMember returns a pooled member packet carrying the block (see
+// Control for its ownership).
 func NewMember(m MemberBlock) *Packet {
-	return &Packet{Kind: Member, Payload: m.Encode(nil)}
+	p := Control(Member)
+	p.Payload = m.Encode(p.Payload)
+	return p
 }
 
 // MemberOf extracts the member block from a member packet.

@@ -21,6 +21,14 @@
 //     to keep (for example one built with NewData around an
 //     application buffer): Release donates the backing array to the
 //     pool, and a later GetSized would hand it to a stranger.
+//
+// Control packets (every Kind but Data) follow one rule per direction.
+// Their emitter owns them: a channel's Send only borrows one until it
+// returns, and the emitter releases it right after — so a channel that
+// holds packets past Send keeps a pooled copy (Keep), never the
+// caller's pointer. The receiver owns every control packet it is
+// handed and releases it once consumed or dropped. Data ownership is
+// the application's, as above.
 package packet
 
 import "sync"
@@ -64,11 +72,45 @@ func GetSized(n int) *Packet {
 	return p
 }
 
+// Control returns a pooled packet of control kind k with an empty
+// payload, for a block's Encode to fill. Whoever emits it owns it: hand
+// it to a channel's Send, then Release it once Send returns.
+//
+//stripe:allowescape sync.Pool's per-P fast path takes no lock, and a steady state of released control packets never misses
+func Control(k Kind) *Packet {
+	p := pool.Get().(*Packet)
+	p.Kind = k
+	return p
+}
+
+// Keep returns the packet a channel may hold once Send has returned.
+// Send borrows a control packet only for the call, so a channel that
+// queues packets keeps a pooled copy of one — owned by the channel
+// until it hands the copy to a receiver — and never the caller's
+// pointer. A data packet is handed over by Send and is returned as is.
+func (p *Packet) Keep() *Packet {
+	if p.Kind == Data {
+		return p // small enough to inline: data pays one compare
+	}
+	return p.pooledCopy()
+}
+
+// pooledCopy returns a pooled deep copy of p.
+func (p *Packet) pooledCopy() *Packet {
+	q := pool.Get().(*Packet)
+	buf := q.Payload
+	*q = *p
+	q.Payload = append(buf, p.Payload...)
+	return q
+}
+
 // Release resets the packet and returns it — payload backing array
 // included — to the pool. The caller must hold the only reference: the
 // packet must already have been delivered (or never sent) and no slice
 // of its payload may be retained. Releasing is always optional; skip it
 // and the packet is ordinary garbage.
+//
+//stripe:allowescape sync.Pool's per-P fast path takes no lock
 func (p *Packet) Release() {
 	p.reset()
 	pool.Put(p)
@@ -82,6 +124,17 @@ func (p *Packet) reset() {
 		buf = buf[:0]
 	}
 	*p = Packet{Payload: buf}
+}
+
+// extend grows dst by n zero bytes in place when its capacity allows,
+// returning the grown slice and its new n-byte tail. Control-block
+// encoders use it to write into a pooled payload.
+//
+//stripe:allowescape reallocates only when dst lacks capacity; a pooled payload (pooledCap bytes) holds every marker, member and credit block and a telemetry block of up to 50 channels
+func extend(dst []byte, n int) (grown, tail []byte) {
+	off := len(dst)
+	dst = append(dst, make([]byte, n)...)
+	return dst, dst[off:]
 }
 
 // Resize sets the payload length to n, reusing the backing array when

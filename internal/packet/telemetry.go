@@ -100,9 +100,7 @@ func (t *TelemetryBlock) Encode(dst []byte) []byte {
 	if n > TelemetryMaxChannels {
 		n = TelemetryMaxChannels
 	}
-	off := len(dst)
-	dst = append(dst, make([]byte, TelemetryWireLen(n))...)
-	b := dst[off:]
+	dst, b := extend(dst, TelemetryWireLen(n))
 	copy(b[0:4], telemetryMagic)
 	binary.BigEndian.PutUint64(b[4:12], t.Seq)
 	// All int64 fields travel in two's-complement wire form (like
@@ -165,9 +163,12 @@ func DecodeTelemetry(b []byte) (TelemetryBlock, error) {
 	return t, nil
 }
 
-// NewTelemetry builds a telemetry packet carrying the block.
+// NewTelemetry returns a pooled telemetry packet carrying the block
+// (see Control for its ownership).
 func NewTelemetry(t TelemetryBlock) *Packet {
-	return &Packet{Kind: Telemetry, Payload: t.Encode(nil)}
+	p := Control(Telemetry)
+	p.Payload = t.Encode(p.Payload)
+	return p
 }
 
 // TelemetryOf extracts the telemetry block from a telemetry packet.

@@ -134,6 +134,8 @@ func (l *Link) Send(p *packet.Packet) error {
 		l.stats.Lost++
 		return nil
 	}
+	// The callback outlives Send, which only borrows a control packet.
+	p = p.Keep()
 	l.sim.At(arrival, func() {
 		l.stats.Delivered++
 		l.deliver(p)

@@ -368,3 +368,34 @@ func TestLinkBurstLoss(t *testing.T) {
 		t.Fatalf("lost %d + delivered %d != %d", st.Lost, delivered, n)
 	}
 }
+
+// TestLinkKeepsControlCopy pins the control-packet ownership rule for
+// Link: Send only borrows a control packet, which the emitter releases
+// once Send returns, so the delivery scheduled for later must carry the
+// link's own copy.
+func TestLinkKeepsControlCopy(t *testing.T) {
+	s := New()
+	var got *packet.Packet
+	l, err := NewLink(s, "l", LinkConfig{RateBps: 8e6, Delay: Millisecond}, func(p *packet.Packet) { got = p })
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := packet.MarkerBlock{Channel: 2, Round: 5, Deficit: 700, Sent: 1 << 20}
+	p := packet.NewMarker(want)
+	l.Send(p)
+	p.Release()
+	for i := 0; i < 8; i++ { // reuse whatever the pool hands out
+		q := packet.Get()
+		q.Resize(packet.MarkerWireLen)
+		for j := range q.Payload {
+			q.Payload[j] = 0xA5
+		}
+	}
+	s.Run(10 * Second)
+	if got == nil {
+		t.Fatal("marker not delivered")
+	}
+	if m, err := packet.MarkerOf(got); err != nil || m != want {
+		t.Fatalf("delivered marker = %+v, %v; want %+v: the link kept the sender's released packet", m, err, want)
+	}
+}

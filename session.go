@@ -595,10 +595,6 @@ func (s *Session) admitTxLocked(c int, tx ChannelSender) error {
 	s.evicted[c] = false
 	s.probeOK[c] = 0
 	s.cpl.markerAt[c].Store(0) // silence detection restarts at the first marker
-	// Flush the batched byte counters first so the fairness baseline
-	// rebases to an exact byte position.
-	s.tx.st.SyncObs()
-	s.col.RebaseFairness(c, join)
 	s.col.OnMemberJoin(c, join)
 	s.recomputeMaxBufLocked()
 	s.cpl.notify()

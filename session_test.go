@@ -277,3 +277,117 @@ func TestSessionSendBatchZeroAlloc(t *testing.T) {
 		t.Fatalf("SendBatch allocates %.1f times per call, want 0", allocs)
 	}
 }
+
+// TestSessionSocketSteadyStateZeroAlloc pins the allocation-free socket
+// path with the default control plane on: a Session pair over loopback
+// TCP or UDP with markers every 4 rounds plus the 50 ms marker timer,
+// which also reports telemetry each tick. A steady-state cycle —
+// SendBatch a batch of pooled packets, release them, RecvBatch the
+// batch at the far end and release it — allocates nothing. A marker is
+// cut about every dozen packets here, so control packets that turned
+// into garbage once serialized would cost several allocations a cycle.
+func TestSessionSocketSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("packets cycle through sync.Pool, which drops Puts under -race")
+	}
+	type link struct {
+		aTx, bTx ChannelSender
+		aRx, bRx PacketReader
+	}
+	for _, tc := range []struct {
+		name  string
+		batch int
+		link  func(t *testing.T) link
+	}{
+		{"tcp", 64, func(t *testing.T) link {
+			ca, cb, err := NewTCPChannelPair()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ca.Close(); cb.Close() })
+			return link{ca, cb, ca, cb}
+		}},
+		// Datagrams carry no flow control, so UDP cycles stay well inside
+		// the socket receive buffer.
+		{"udp", 16, func(t *testing.T) link {
+			ab, abRx, err := NewUDPChannelPair()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ba, baRx, err := NewUDPChannelPair()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ab.Close(); abRx.Close(); ba.Close(); baRx.Close() })
+			return link{ab, ba, baRx, abRx}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const nch = 2
+			aTx, bTx := make([]ChannelSender, nch), make([]ChannelSender, nch)
+			aRx, bRx := make([]PacketReader, nch), make([]PacketReader, nch)
+			for i := 0; i < nch; i++ {
+				l := tc.link(t)
+				aTx[i], bTx[i], aRx[i], bRx[i] = l.aTx, l.bTx, l.aRx, l.bRx
+			}
+			cfg := SessionConfig{Config: Config{Quanta: UniformQuanta(nch, 1500)}}
+			a, err := NewSession(aTx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			b, err := NewSession(bTx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			for i := 0; i < nch; i++ {
+				a.Attach(i, aRx[i])
+				b.Attach(i, bRx[i])
+			}
+			// A lost datagram would block RecvBatch for good; closing the
+			// sessions turns that into a failure instead of a hang.
+			watchdog := time.AfterFunc(time.Minute, func() { a.Close(); b.Close() })
+			defer watchdog.Stop()
+
+			pkts := make([]*Packet, tc.batch)
+			dst := make([]*Packet, tc.batch)
+			cycle := func() {
+				for i := range pkts {
+					pkts[i] = GetPacketSized(1000)
+				}
+				if n, err := a.SendBatch(pkts); err != nil || n != len(pkts) {
+					t.Fatalf("SendBatch = (%d, %v)", n, err)
+				}
+				for _, p := range pkts {
+					p.Release()
+				}
+				for got := 0; got < len(pkts); {
+					k := b.RecvBatch(dst[:len(pkts)-got])
+					if k == 0 {
+						t.Fatalf("receiver closed after %d of %d packets", got, len(pkts))
+					}
+					for _, p := range dst[:k] {
+						p.Release()
+					}
+					got += k
+				}
+			}
+			// Warm up across several marker-timer ticks, so telemetry has
+			// flowed both ways and every buffer has reached its size.
+			for start := time.Now(); time.Since(start) < 200*time.Millisecond; {
+				cycle()
+			}
+			markers := a.SendStats().Markers
+			if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+				t.Fatalf("steady-state SendBatch/RecvBatch cycle allocates %.1f times, want 0", allocs)
+			}
+			if a.SendStats().Markers == markers {
+				t.Fatal("no markers were sent while measuring")
+			}
+			if b.Stats().Telemetry == 0 || a.Stats().Telemetry == 0 {
+				t.Fatal("no telemetry arrived")
+			}
+		})
+	}
+}

@@ -86,7 +86,10 @@ const (
 	ModeSequence = core.ModeSequence
 )
 
-// ChannelSender is the transmit side of one FIFO channel.
+// ChannelSender is the transmit side of one FIFO channel. Send borrows
+// a control packet only until it returns — the sender releases it right
+// after — so an implementation that holds packets past the call keeps
+// p.Keep(), never p itself; see channel.Sender.
 type ChannelSender = channel.Sender
 
 // ChannelReceiver is the receive side of one FIFO channel.
@@ -371,9 +374,11 @@ func newReceiver(cfg Config, rcfg core.ResequencerConfig) (*Receiver, error) {
 }
 
 // Arrive hands the receiver a packet physically received on channel c
-// (data, marker, or any other kind read off the channel). The receiver
-// takes ownership of control packets and releases them to the packet
-// pool once consumed, so the caller must not touch p afterwards.
+// (data, marker, or any other kind read off the channel). Control
+// packets are borrowed by Send and owned by Arrive: the receiver takes
+// ownership of every control packet, resets included, and releases it
+// to the packet pool once consumed, so the caller must not touch p
+// afterwards. Data packets follow the ownership rules in doc.go.
 func (r *Receiver) Arrive(c int, p *Packet) {
 	r.mu.Lock()
 	if r.sess != nil {
